@@ -434,13 +434,18 @@ def cmd_verify(args) -> int:
             # a concrete map is needed for simulation: pin the free parts
             beta = _red.FreeFunctionAnsatz(ZERO, ZERO)
         red = _reduce_for(mf, name, v, beta, args.numeric_samples)
+        report["reduction"] = _reduction_entry(red)
+        if red.classification == _red.NOT_INTEGRABLE_FORM:
+            raise _red.ReductionError(
+                f"reduction along {name!r} is {red.classification}: the "
+                "reduced coefficients still involve the state, and the "
+                "path witnesses need the integrable or quadrature form")
     except (_red.ReductionError, NotElementaryError) as e:
         report["error"] = str(e)
         report["verdict"] = False
         report["wall_time_s"] = round(time.monotonic() - t_start, 3)
         _emit(report, args)
         return 1
-    report["reduction"] = _reduction_entry(red)
 
     cfg = _sim_config(mf, args)
     ito_sys = as_ito(mf.system)

@@ -27,6 +27,7 @@ symbols; tau may involve t only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -353,16 +354,30 @@ def _build_simulation(items, system: SdeSystem) -> dict:
         if key not in _SIM_KEYS:
             raise ModelError(f"unknown key {key!r} in [simulation]", lineno)
         if key == "paths":
-            out[key] = int(value)
+            try:
+                out[key] = int(value)
+            except ValueError:
+                raise ModelError(
+                    f"paths must be an integer, got {value!r}", lineno) from None
         elif key == "x0":
             parts = [p.strip() for p in value.split(",")]
             if len(parts) != system.n:
                 raise ModelError(
                     f"x0 needs {system.n} component(s), got {len(parts)}", lineno)
-            out[key] = tuple(float(p) for p in parts)
+            out[key] = tuple(_sim_number(key, p, lineno) for p in parts)
         else:
-            out[key] = float(value)
+            out[key] = _sim_number(key, value, lineno)
     return out
+
+
+def _sim_number(key, text, lineno) -> float:
+    try:
+        v = float(text)
+        if math.isfinite(v):
+            return v
+    except ValueError:
+        pass
+    raise ModelError(f"{key} must be a finite number, got {text!r}", lineno)
 
 
 def _split_names(value, lineno):

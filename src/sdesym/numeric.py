@@ -18,7 +18,8 @@ import numpy as np
 
 from .expr import (
     Expr, Num, Sym, Add, Mul, Pow, Prim, Opaque, ZERO,
-    EvalPoint, evaluate, is_zero, opaque_functions, add, mul, differentiate,
+    EvalPoint, evaluate, is_zero, free_symbols, opaque_functions, add, mul,
+    differentiate,
 )
 from .model import SdeSystem, VectorField
 from .calculus import as_ito, InterpretationError, TransformedSde
@@ -34,52 +35,113 @@ __all__ = [
 EULER_MARUYAMA = "EulerMaruyama"
 STRATONOVICH_HEUN = "StratonovichHeun"
 
-_PRIM_FUNCS = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos}
+
+class _Emitter:
+    """Writes expression trees as straight-line numpy code over local names.
+
+    Sums and products fold left and every node becomes the one numpy call
+    it names, in the tree's own order, so the generated code computes
+    exactly what a node-by-node evaluation computes.  An operation met
+    again on the same operands reuses the first result (shared subtrees
+    are computed once), which gives the same value.  Constants are
+    loaded once at the top of the generated function.  Each temporary is
+    deleted after its last use, so a large intermediate is freed as early
+    as in a node-by-node evaluation.
+    """
+
+    def __init__(self):
+        self.head = []       # constant loads
+        self.body = []       # (line, emitted names the line reads)
+        self.consts = []
+        self.names = {}      # symbol name -> local holding its value
+        self._memo = {}      # emitted code (or constant repr) -> local
+        self._temps = set()  # temporaries assigned in the body
+
+    def line(self, text: str, *reads: str) -> None:
+        self.body.append((text, reads))
+
+    def value(self, e: Expr) -> str:
+        """Emit e and return the local name holding its value."""
+        if isinstance(e, Num):
+            return self._const(float(e.value))
+        if isinstance(e, Sym):
+            return self.names[e.name]
+        if isinstance(e, (Add, Mul)):
+            args, sign = ((e.terms, "+") if isinstance(e, Add)
+                          else (e.factors, "*"))
+            out = self.value(args[0])
+            for a in args[1:]:
+                b = self.value(a)
+                out = self._op(f"{out} {sign} {b}", out, b)
+            return out
+        if isinstance(e, Pow):
+            b, x = self.value(e.base), self.value(e.exponent)
+            return self._op(f"_power({b}, {x})", b, x)
+        if isinstance(e, Prim):
+            a = self.value(e.arg)
+            return self._op(f"_{e.name}({a})", a)
+        if isinstance(e, Opaque):
+            raise ValueError(
+                f"cannot compile free function symbol {e.name!r}; "
+                "instantiate it before simulating")
+        raise TypeError(f"unknown node {type(e).__name__}")
+
+    def _const(self, v: float) -> str:
+        key = repr(v)        # keeps -0.0 apart from 0.0
+        name = self._memo.get(key)
+        if name is None:
+            name = self._memo[key] = f"c{len(self.consts)}"
+            self.head.append(f"{name} = _c[{len(self.consts)}]")
+            self.consts.append(v)
+        return name
+
+    def _op(self, code: str, *operands: str) -> str:
+        name = self._memo.get(code)
+        if name is None:
+            name = self._memo[code] = f"v{len(self._memo)}"
+            self._temps.add(name)
+            self.line(f"{name} = {code}", *operands)
+        return name
+
+    def build(self, name: str, params: str, prologue=(), loop: str = None):
+        """Define `name(params)`: the head, then `prologue`, then the body,
+        inside the for-statement `loop` when one is given."""
+        last = {r: i for i, (_, reads) in enumerate(self.body) for r in reads}
+        body = []
+        for i, (text, reads) in enumerate(self.body):
+            body.append(text)
+            dead = sorted({r for r in reads
+                           if r in self._temps and last[r] == i})
+            if dead and i + 1 < len(self.body):
+                body.append("del " + ", ".join(dead))
+        if loop is not None:
+            body = [loop] + ["    " + ln for ln in body]
+        src = "\n".join([f"def {name}({params}):"]
+                        + ["    " + ln for ln in [*self.head, *prologue,
+                                                  *body]])
+        ns = {"_c": self.consts, "_power": np.power, "_exp": np.exp,
+              "_log": np.log, "_sin": np.sin, "_cos": np.cos,
+              "_add": np.add, "_empty": np.empty}
+        exec(compile(src, f"<sdesym {name}>", "exec"), ns)
+        return ns[name]
 
 
 def compile_expr(e: Expr):
-    """Compile an expression to a closure over a dict of numpy arrays.
+    """Compile an expression to a function of a dict of numpy arrays.
 
-    The closure returns an array broadcast from its inputs (or a plain
+    The function returns an array broadcast from its inputs (or a plain
     float for constant expressions).  Domain violations surface as
     nan/inf in the output rather than exceptions; callers run under
     errstate(all='ignore') and treat non-finite values as exits from
     the validity domain.
     """
-    if isinstance(e, Num):
-        v = float(e.value)
-        return lambda env: v
-    if isinstance(e, Sym):
-        name = e.name
-        return lambda env: env[name]
-    if isinstance(e, Add):
-        fns = [compile_expr(x) for x in e.terms]
-        def _add(env):
-            out = fns[0](env)
-            for fn in fns[1:]:
-                out = out + fn(env)
-            return out
-        return _add
-    if isinstance(e, Mul):
-        fns = [compile_expr(x) for x in e.factors]
-        def _mul(env):
-            out = fns[0](env)
-            for fn in fns[1:]:
-                out = out * fn(env)
-            return out
-        return _mul
-    if isinstance(e, Pow):
-        bf, ef = compile_expr(e.base), compile_expr(e.exponent)
-        return lambda env: np.power(bf(env), ef(env))
-    if isinstance(e, Prim):
-        fn = _PRIM_FUNCS[e.name]
-        af = compile_expr(e.arg)
-        return lambda env: fn(af(env))
-    if isinstance(e, Opaque):
-        raise ValueError(
-            f"cannot compile free function symbol {e.name!r}; instantiate "
-            "it before simulating")
-    raise TypeError(f"unknown node {type(e).__name__}")
+    em = _Emitter()
+    for j, name in enumerate(sorted(free_symbols(e))):
+        em.names[name] = f"a{j}"
+        em.line(f"a{j} = env[{name!r}]")
+    out = em.value(e)
+    em.line(f"return {out}", out)
+    return em.build("compiled", "env")
 
 
 @dataclass(frozen=True)
@@ -99,8 +161,10 @@ class SimulationConfig:
             raise ValueError("t1 must exceed t0")
         if self.paths < 1:
             raise ValueError("need at least one path")
-        if self.seed < 0:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a non-negative 64-bit integer")
+        if not all(map(math.isfinite, (self.t0, self.t1, self.h))):
+            raise ValueError("t0, t1 and h must be finite")
         span = self.t1 - self.t0
         n = round(span / self.h)
         if n < 1 or abs(n * self.h - span) > 1e-9 * max(1.0, abs(span)):
@@ -166,69 +230,95 @@ class PathSet:
 
 def _draw_increments(cfg: SimulationConfig, m: int) -> np.ndarray:
     """One Philox stream per (seed, path): adding paths never reshuffles
-    the existing ones."""
+    the existing ones.  A single generator is rekeyed to (seed, p) with
+    its counter at zero for each path, which draws exactly what a fresh
+    ``Generator(Philox(key=[seed, p]))`` would."""
     out = np.empty((cfg.paths, cfg.steps, m))
     root = math.sqrt(cfg.h)
+    key = np.array([cfg.seed, 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    counter = np.zeros(4, dtype=np.uint64)
     for p in range(cfg.paths):
-        bitgen = np.random.Philox(key=np.array([cfg.seed, p], dtype=np.uint64))
-        rng = np.random.Generator(bitgen)
-        out[p] = rng.standard_normal((cfg.steps, m)) * root
+        key[1] = p
+        state.update(state={"counter": counter, "key": key},
+                     buffer_pos=4, has_uint32=0, uinteger=0)
+        bitgen.state = state
+        row = out[p]
+        rng.standard_normal(out=row)
+        row *= root
     return out
 
 
-def _coefficient_fns(sys: SdeSystem):
-    drift = [compile_expr(e) for e in sys.drift]
-    diff = [[compile_expr(e) for e in row] for row in sys.diffusion]
+def _emit_coefficients(em: _Emitter, sys: SdeSystem):
+    drift = [em.value(e) for e in sys.drift]
+    diff = [[em.value(e) for e in row] for row in sys.diffusion]
     return drift, diff
 
 
-def _env_at(sys: SdeSystem, t: float, x: np.ndarray) -> dict:
-    env = {sys.time: t}
-    for i, name in enumerate(sys.states):
-        env[name] = x[:, i]
-    return env
+def _step_kernel(sys: SdeSystem, scheme: str):
+    """Generate kernel(states, increments, times, h), which runs every
+    step of the scheme and writes states[:, s + 1, i] in place.
+
+    The arithmetic is that of the reference step, term for term:
+    step = f*h, then step + g_k*dw_k for each noise, then x + step; Heun
+    averages predictor and corrector as 0.5*(a + b) before scaling.
+    """
+    n, m = sys.n, sys.m
+    em = _Emitter()
+    xs = [f"x{i}" for i in range(n)]
+    em.line("t = times[s]")
+    for i, x in enumerate(xs):
+        em.line(f"{x} = states[:, s, {i}]")
+    for k in range(m):
+        em.line(f"dw{k} = increments[:, s, {k}]")
+    em.names = {sys.time: "t", **dict(zip(sys.states, xs))}
+    f, g = _emit_coefficients(em, sys)
+
+    def update(fs, gs, store):
+        # fs and each gs[k] hold a coefficient at one point (Euler) or at
+        # the two points Heun averages
+        def avg(c):
+            return c[0] if len(c) == 1 else f"0.5 * ({c[0]} + {c[1]})"
+        em.line(f"step = {avg(fs)} * h", *fs)
+        for k in range(m):
+            em.line(f"step = step + {avg(gs[k])} * dw{k}", *gs[k])
+        em.line(store)
+
+    prologue = ()
+    if scheme == EULER_MARUYAMA:
+        for i in range(n):
+            update((f[i],), [(gk,) for gk in g[i]],
+                   f"states[:, s + 1, {i}] = x{i} + step")
+    else:
+        # the predictor lives in one (paths, n) buffer, as a row of the
+        # state array would, and is overwritten every step
+        preds = [f"p{i}" for i in range(n)]
+        prologue = [f"pred = _empty((states.shape[0], {n}))"]
+        prologue += [f"{p} = pred[:, {i}]" for i, p in enumerate(preds)]
+        for i in range(n):
+            update((f[i],), [(gk,) for gk in g[i]],
+                   f"_add(x{i}, step, out=p{i})")
+        em.line("tn = times[s + 1]")
+        em.names = {sys.time: "tn", **dict(zip(sys.states, preds))}
+        f2, g2 = _emit_coefficients(em, sys)
+        for i in range(n):
+            update((f[i], f2[i]), list(zip(g[i], g2[i])),
+                   f"states[:, s + 1, {i}] = x{i} + step")
+    return em.build("kernel", "states, increments, times, h", prologue,
+                    loop="for s in range(increments.shape[1]):")
 
 
 def _from_increments(sys: SdeSystem, cfg: SimulationConfig,
                      increments: np.ndarray, scheme: str) -> PathSet:
-    drift, diff = _coefficient_fns(sys)
-    paths, steps, m = increments.shape
-    n = sys.n
+    kernel = _step_kernel(sys, scheme)
+    paths, steps, _ = increments.shape
     times = cfg.t0 + cfg.h * np.arange(steps + 1)
-    states = np.empty((paths, steps + 1, n))
+    states = np.empty((paths, steps + 1, sys.n))
     states[:, 0, :] = np.asarray(cfg.x0, dtype=float)
-
-    h = cfg.h
     with np.errstate(all="ignore"):
-        for s in range(steps):
-            x = states[:, s, :]
-            dw = increments[:, s, :]
-            env = _env_at(sys, times[s], x)
-            fx = [np.broadcast_to(drift[i](env), (paths,)) for i in range(n)]
-            gx = [[np.broadcast_to(diff[i][k](env), (paths,))
-                   for k in range(m)] for i in range(n)]
-            if scheme == EULER_MARUYAMA:
-                for i in range(n):
-                    step = fx[i] * h
-                    for k in range(m):
-                        step = step + gx[i][k] * dw[:, k]
-                    states[:, s + 1, i] = x[:, i] + step
-            else:
-                pred = np.empty_like(x)
-                for i in range(n):
-                    step = fx[i] * h
-                    for k in range(m):
-                        step = step + gx[i][k] * dw[:, k]
-                    pred[:, i] = x[:, i] + step
-                env2 = _env_at(sys, times[s + 1], pred)
-                for i in range(n):
-                    step = 0.5 * (fx[i] + np.broadcast_to(drift[i](env2),
-                                                          (paths,))) * h
-                    for k in range(m):
-                        gk = np.broadcast_to(diff[i][k](env2), (paths,))
-                        step = step + 0.5 * (gx[i][k] + gk) * dw[:, k]
-                    states[:, s + 1, i] = x[:, i] + step
-
+        kernel(states, increments, times, cfg.h)
     valid = np.isfinite(states).all(axis=(1, 2))
     return PathSet(times, states, increments, valid, cfg.seed, cfg,
                    sys.states, sys.noises)

@@ -340,6 +340,57 @@ def test_verify_tol_bounds_the_pathwise_gap(tmp_path):
     assert rep["numeric"]["pathwise"]["ok"] is False
 
 
+# the map x = y + y^3 pulled back from dx = dt + (1 + t) dw: the program
+# classifies its reduction as NotIntegrableForm (the reduced drift keeps
+# uncombined fractions in y), so there is no reduced equation to integrate
+_NOT_INTEGRABLE_FORM_MODEL = """
+[system]
+interpretation = ito
+states = y
+noises = w
+drift.1 = (1 - 1/2*(1 + t)^2*(6*y)/(1 + 3*y^2)^2)/(1 + 3*y^2)
+diffusion.1.1 = (1 + t)/(1 + 3*y^2)
+domain.y = 0.5, 2
+
+[candidate XI]
+xi.1 = 1/(1 + 3*y^2)
+"""
+
+
+def test_verify_not_integrable_form_is_error_report(tmp_path):
+    path = tmp_path / "cubic.sde"
+    path.write_text(_NOT_INTEGRABLE_FORM_MODEL)
+    code, rep = run_cli(["verify", str(path), "--candidate", "XI"], tmp_path)
+    assert code == 1
+    assert rep["verdict"] is False
+    assert rep["symbolic"]["verified"] is True
+    assert rep["reduction"]["classification"] == "NotIntegrableForm"
+    assert "NotIntegrableForm" in rep["error"]
+    assert "numeric" not in rep
+
+
+@pytest.mark.parametrize("entry", ["paths = abc", "h = x", "x0 = one"])
+def test_bad_simulation_block_is_input_error(tmp_path, capsys, entry):
+    path = tmp_path / "bad.sde"
+    path.write_text("[system]\ninterpretation = ito\nstates = y\n"
+                    "noises = w\ndrift.1 = y\ndiffusion.1.1 = y\n"
+                    "[simulation]\n" + entry + "\n")
+    code, rep = run_cli(["simulate", str(path)], tmp_path)
+    assert code == 2
+    assert rep is None
+    assert "line 8:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--t1", "inf"], ["--h", "nan"],
+                                   ["--seed", str(2**64)]])
+def test_non_finite_or_oversized_flags_are_input_errors(tmp_path, capsys,
+                                                         flags):
+    code, _ = run_cli(["simulate", fixture_path("example1.sde"), *flags],
+                      tmp_path)
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_needs_candidate(tmp_path, capsys):
     code, _ = run_cli(["verify", fixture_path("example1.sde")], tmp_path)
     assert code == 2

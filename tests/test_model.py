@@ -132,3 +132,19 @@ def test_simulation_block_types():
     assert sim["t1"] == 2.0 and isinstance(sim["t1"], float)
     assert sim["paths"] == 7 and isinstance(sim["paths"], int)
     assert sim["x0"] == (1.5,)
+
+
+@pytest.mark.parametrize("entry,fragment", [
+    ("paths = abc", "paths must be an integer, got 'abc'"),
+    ("paths = 1.5", "paths must be an integer"),
+    ("h = x", "h must be a finite number, got 'x'"),
+    ("t0 = zero", "t0 must be a finite number"),
+    ("t1 = inf", "t1 must be a finite number"),
+    ("x0 = one", "x0 must be a finite number, got 'one'"),
+])
+def test_simulation_block_rejects_non_numbers(entry, fragment):
+    text = MINIMAL + "\n[simulation]\n" + entry + "\n"
+    with pytest.raises(ModelError, match=fragment) as err:
+        load_model(text)
+    # the offending entry sits on the last line of the text
+    assert err.value.line == text.count("\n")

@@ -26,7 +26,10 @@ from sdesym import (
     pathwise_check, reduce_deterministic, simulate, strong_order_estimate,
 )
 from sdesym.calculus import TransformedSde
-from sdesym.expr import EvalPoint
+from sdesym.expr import Add, EvalPoint, Mul, Num, Pow, Prim, add, mul, to_str
+from sdesym.numeric import _draw_increments
+
+from conftest import random_expr
 
 
 def _cfg(**kw):
@@ -48,6 +51,10 @@ def _cfg(**kw):
     (dict(seed=-1), "seed must be"),
     (dict(h=0.3), "not an integer step count"),
     (dict(scheme="RungeKutta"), "unknown scheme"),
+    (dict(seed=2**64), "seed must be"),
+    (dict(t1=math.inf), "must be finite"),
+    (dict(t0=-math.inf), "must be finite"),
+    (dict(h=math.inf), "must be finite"),
 ])
 def test_config_rejects_bad_values(kw, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -78,6 +85,133 @@ def test_compile_expression_broadcasts():
 def test_compile_rejects_free_function_symbols():
     with pytest.raises(ValueError, match="free function symbol"):
         compile_expr(opaque("eta", 0, Sym("y")))
+
+
+def _reference_eval(e, env):
+    """Node by node, as the tree reads: sums and products fold left."""
+    if isinstance(e, Num):
+        return float(e.value)
+    if isinstance(e, Sym):
+        return env[e.name]
+    if isinstance(e, (Add, Mul)):
+        args = e.terms if isinstance(e, Add) else e.factors
+        out = _reference_eval(args[0], env)
+        for a in args[1:]:
+            v = _reference_eval(a, env)
+            out = out + v if isinstance(e, Add) else out * v
+        return out
+    if isinstance(e, Pow):
+        return np.power(_reference_eval(e.base, env),
+                        _reference_eval(e.exponent, env))
+    assert isinstance(e, Prim)
+    fn = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos}
+    return fn[e.name](_reference_eval(e.arg, env))
+
+
+def test_compile_matches_node_by_node_evaluation():
+    # random trees share subtrees and constants; the generated code must
+    # give exactly the values of evaluating the tree node by node
+    rng = np.random.default_rng(2024)
+    env = {"y": rng.uniform(0.5, 1.5, 9), "z": rng.uniform(-1, 1, 9),
+           "t": 0.375}
+    for _ in range(200):
+        e = random_expr(rng, ("y", "z", "t"), depth=4)
+        e = add(e, mul(e, random_expr(rng, ("y", "t"), depth=2)))
+        with np.errstate(all="ignore"):
+            got = np.broadcast_to(compile_expr(e)(env), (9,))
+            want = np.broadcast_to(_reference_eval(e, env), (9,))
+        assert np.array_equal(got, want, equal_nan=True), to_str(e)
+
+
+# ---------------------------------------------------------------------------
+# simulation: the generated step kernel against plain numpy loops
+#
+# The reference walks each coefficient tree node by node (sums and products
+# fold left) and steps with the textbook loops; the kernel promises the
+# same floating-point operations, so the states must agree bit for bit.
+
+
+def _reference_states(sys, cfg, inc):
+    paths, steps, m = inc.shape
+    n, h = sys.n, cfg.h
+    times = cfg.t0 + h * np.arange(steps + 1)
+    states = np.empty((paths, steps + 1, n))
+    states[:, 0, :] = cfg.x0
+
+    def coefficients(t, x):
+        env = {sys.time: t}
+        env.update((name, x[:, i]) for i, name in enumerate(sys.states))
+        f = [np.broadcast_to(_reference_eval(e, env), (paths,))
+             for e in sys.drift]
+        g = [[np.broadcast_to(_reference_eval(e, env), (paths,))
+              for e in row] for row in sys.diffusion]
+        return f, g
+
+    with np.errstate(all="ignore"):
+        for s in range(steps):
+            x, dw = states[:, s, :], inc[:, s, :]
+            f, g = coefficients(times[s], x)
+            pred = np.empty_like(x)
+            for i in range(n):
+                step = f[i] * h
+                for k in range(m):
+                    step = step + g[i][k] * dw[:, k]
+                pred[:, i] = x[:, i] + step
+            if sys.is_ito():                    # Euler-Maruyama
+                states[:, s + 1, :] = pred
+                continue
+            f2, g2 = coefficients(times[s + 1], pred)   # Heun corrector
+            for i in range(n):
+                step = 0.5 * (f[i] + f2[i]) * h
+                for k in range(m):
+                    step = step + 0.5 * (g[i][k] + g2[i][k]) * dw[:, k]
+                states[:, s + 1, i] = x[:, i] + step
+    return states
+
+
+_KERNEL_CASES = {
+    # one state, state- and time-dependent coefficients
+    "scalar": (["y"], ["w"], ["3/4*y - exp(-t)*y^2 + sin(y)*y"],
+               [["1/5*y + cos(y)^2"]], (0.8,)),
+    # constant coefficients: the kernel's values are plain floats
+    "constant": (["x"], ["w"], ["2"], [["1/2"]], (0.5,)),
+    # time-only coefficients next to a state-dependent one
+    "time_only": (["x"], ["w"], ["cos(t) + t^2"], [["exp(-t/2)"]], (0.1,)),
+    # two states, two noises, shared subtrees across coefficients
+    "two_state": (["y", "z"], ["u", "v"],
+                  ["y*z/4 - log(1 + y^2)", "cos(t)*z - z/2 + exp(-y*z)/4"],
+                  [["1/2", "y*z/5"], ["sin(y*z)/5", "(1 + z^2)^(1/2)/10"]],
+                  (0.7, 1.2)),
+    # log(y) is undefined once a path crosses zero: those paths go nan
+    "leaves_domain": (["y"], ["w"], ["log(y)"], [["1"]], (0.3,)),
+}
+
+
+@pytest.mark.parametrize("interpretation", [ITO, STRATONOVICH])
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_kernel_matches_plain_numpy_loops(case, interpretation):
+    states, noises, drift, diffusion, x0 = _KERNEL_CASES[case]
+    sys = make_system(states, noises, drift, diffusion,
+                      interpretation=interpretation)
+    ps = simulate(sys, _cfg(paths=16, h=0.01, x0=x0, seed=8))
+    ref = _reference_states(sys, ps.config, ps.increments)
+    assert np.array_equal(ps.states, ref, equal_nan=True)
+    assert np.array_equal(ps.valid, np.isfinite(ref).all(axis=(1, 2)))
+    if case == "leaves_domain":
+        assert 0 < ps.n_excluded < ps.paths
+        assert np.isnan(ps.states[~ps.valid, -1, 0]).all()
+    else:
+        assert ps.valid.all()
+
+
+def test_increments_are_one_philox_stream_per_path():
+    cfg = _cfg(paths=6, h=0.01, seed=2**63 + 11)
+    inc = _draw_increments(cfg, 2)
+    for p in range(cfg.paths):
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([cfg.seed, p], dtype=np.uint64)))
+        want = rng.standard_normal((cfg.steps, 2)) * math.sqrt(cfg.h)
+        assert np.array_equal(inc[p], want)
 
 
 # ---------------------------------------------------------------------------
