@@ -18,8 +18,8 @@ import sys as _sys
 import time
 
 from .expr import (
-    Expr, ZERO, Domain, to_str, is_zero, equivalent, max_abs_on_domain,
-    NotElementaryError,
+    ZERO, to_str, is_zero, equivalent, vanishes_on_domain,
+    DomainError, NotElementaryError,
 )
 from .parser import parse, ExprSyntaxError
 from .model import (
@@ -140,13 +140,18 @@ def _expr_list(exprs) -> list:
     return [to_str(e) for e in exprs]
 
 
-def _emit(report: dict, args) -> None:
+def _finish(report: dict, verdict: bool, t_start: float, args) -> int:
+    """Record the verdict and the wall time, print the report (and write
+    it to --report), and return the exit code: 0 verified, 1 not."""
+    report["verdict"] = verdict
+    report["wall_time_s"] = round(time.monotonic() - t_start, 3)
     text = json.dumps(report, indent=2, sort_keys=True)
     path = getattr(args, "report", None)
     if path:
         with open(path, "w") as f:
             f.write(text + "\n")
     print(text)
+    return 0 if verdict else 1
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +162,10 @@ def _check_one(sysm, v, n_points, tol):
     entry = {"classification": cls.label}
     if not cls.simple:
         res = tau_condition(sysm, v.tau)
-        ok = all(is_zero(r) or equivalent(r, ZERO, sysm.domain) for r in res)
-        worst = max((max_abs_on_domain(r, sysm.domain, n_points=n_points)
-                     for r in res), default=0.0)
+        checks = [vanishes_on_domain(r, sysm.domain, n_points=n_points)
+                  for r in res]
+        ok = all(c for c, _ in checks)
+        worst = max((w for _, w in checks), default=0.0)
         entry["tau_condition"] = {
             "residuals": _expr_list(res),
             "max_abs_residual": worst,
@@ -210,18 +216,14 @@ def cmd_check(args) -> int:
     for name in sorted(picked):
         out[name] = _check_one(mf.system, picked[name], args.numeric_samples,
                                args.tol)
-    verdict = all(entry["verified"] for entry in out.values())
-    _emit({
+    return _finish({
         "command": "check",
         "model": args.model,
         "model_hash": digest,
         "interpretation": mf.system.interpretation,
         "candidates": out,
-        "verdict": verdict,
         "tolerance": args.tol,
-        "wall_time_s": round(time.monotonic() - t_start, 3),
-    }, args)
-    return 0 if verdict else 1
+    }, all(entry["verified"] for entry in out.values()), t_start, args)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +254,7 @@ def cmd_convert(args) -> int:
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
-    _emit({
+    return _finish({
         "command": "convert",
         "model": args.model,
         "model_hash": digest,
@@ -262,10 +264,7 @@ def cmd_convert(args) -> int:
         "diffusion": [_expr_list(row) for row in converted.diffusion],
         "roundtrip_equivalent": roundtrip,
         "model_text": text,
-        "verdict": roundtrip,
-        "wall_time_s": round(time.monotonic() - t_start, 3),
-    }, args)
-    return 0 if roundtrip else 1
+    }, roundtrip, t_start, args)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +324,6 @@ def cmd_reduce(args) -> int:
                 raise _InputError(f"unknown map {args.phi!r} (have: {known})")
             nr = _red.necessity_roundtrip(mf.system, mf.maps[args.phi],
                                           n_points=args.numeric_samples)
-            verdict = nr.report.verified and nr.derivative_matches
             report["necessity"] = {
                 "map": args.phi,
                 "candidate": to_str(nr.candidate.xi[0]),
@@ -339,10 +337,9 @@ def cmd_reduce(args) -> int:
                 "derivative_matches": nr.derivative_matches,
                 "exact_match": nr.exact_match,
             }
-            report["verdict"] = verdict
-            report["wall_time_s"] = round(time.monotonic() - t_start, 3)
-            _emit(report, args)
-            return 0 if verdict else 1
+            return _finish(report,
+                           nr.report.verified and nr.derivative_matches,
+                           t_start, args)
 
         if args.candidate is None:
             raise _InputError("reduce needs --candidate NAME or --phi NAME")
@@ -352,17 +349,11 @@ def cmd_reduce(args) -> int:
         r = _reduce_for(mf, name, v, beta, args.numeric_samples)
         report["candidate"] = name
         report["reduction"] = _reduction_entry(r)
-        verdict = r.classification != _red.NOT_INTEGRABLE_FORM
-        report["verdict"] = verdict
-        report["wall_time_s"] = round(time.monotonic() - t_start, 3)
-        _emit(report, args)
-        return 0 if verdict else 1
+        return _finish(report, r.classification != _red.NOT_INTEGRABLE_FORM,
+                       t_start, args)
     except (_red.ReductionError, NotElementaryError) as e:
         report["error"] = str(e)
-        report["verdict"] = False
-        report["wall_time_s"] = round(time.monotonic() - t_start, 3)
-        _emit(report, args)
-        return 1
+        return _finish(report, False, t_start, args)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +368,7 @@ def cmd_simulate(args) -> int:
         _num.export_csv(ps, args.out)
     final = ps.states[ps.valid, -1, :]
     sanity = ps.increment_sanity()
-    _emit({
+    return _finish({
         "command": "simulate",
         "model": args.model,
         "model_hash": digest,
@@ -396,10 +387,7 @@ def cmd_simulate(args) -> int:
             "final_variance": [float(v) for v in final.var(axis=0)],
             "increment_sanity": sanity,
         },
-        "verdict": bool(sanity["ok"]),
-        "wall_time_s": round(time.monotonic() - t_start, 3),
-    }, args)
-    return 0 if sanity["ok"] else 1
+    }, bool(sanity["ok"]), t_start, args)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +411,7 @@ def cmd_verify(args) -> int:
     symbolic = _check_one(mf.system, v, args.numeric_samples, 1e-9)
     report["symbolic"] = symbolic
     if not symbolic["verified"]:
-        report["verdict"] = False
-        report["wall_time_s"] = round(time.monotonic() - t_start, 3)
-        _emit(report, args)
-        return 1
+        return _finish(report, False, t_start, args)
 
     try:
         beta = _parse_beta(args.beta, mf) if args.beta is not None else None
@@ -442,10 +427,7 @@ def cmd_verify(args) -> int:
                 "path witnesses need the integrable or quadrature form")
     except (_red.ReductionError, NotElementaryError) as e:
         report["error"] = str(e)
-        report["verdict"] = False
-        report["wall_time_s"] = round(time.monotonic() - t_start, 3)
-        _emit(report, args)
-        return 1
+        return _finish(report, False, t_start, args)
 
     cfg = _sim_config(mf, args)
     ito_sys = as_ito(mf.system)
@@ -489,11 +471,8 @@ def cmd_verify(args) -> int:
             "degenerate": scaling.degenerate,
         },
     }
-    verdict = bool(symbolic["verified"] and pathwise_ok)
-    report["verdict"] = verdict
-    report["wall_time_s"] = round(time.monotonic() - t_start, 3)
-    _emit(report, args)
-    return 0 if verdict else 1
+    return _finish(report, bool(symbolic["verified"] and pathwise_ok),
+                   t_start, args)
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +547,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _InputError as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 2
-    except (ModelError, ExprSyntaxError) as e:
+    except (_InputError, ModelError, ExprSyntaxError, DomainError,
+            _red.PreconditionError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2
 

@@ -11,6 +11,11 @@ the literal zero without any extra simplification pass.
 Equality that does not hold structurally can still be checked numerically
 with `equivalent`, which samples points from a validity box and instantiates
 opaque function symbols with random polynomial test functions.
+
+There is one numeric evaluator, numpy code generated from the tree; a
+sampled check evaluates all its points in one call, and `evaluate` is that
+call at a single point.  A non-finite value (nan or inf) marks a point as
+outside the expression's domain: samplers reject it and draw again.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ __all__ = [
     "ZERO", "ONE", "as_expr", "num", "sym", "add", "mul", "pow_", "prim",
     "opaque", "simplify", "free_symbols", "opaque_functions", "contains",
     "differentiate", "substitute", "replace_subexpr", "instantiate_opaque",
-    "solve_for", "antiderivative", "evaluate", "to_str",
+    "solve_for", "antiderivative", "evaluate", "compile_expr", "to_str",
     "EvalPoint", "PolyTestFunction", "Domain", "equivalent",
-    "max_abs_on_domain", "sample_points",
+    "max_abs_on_domain", "vanishes_on_domain", "sample_points",
     "ExprError", "EvaluationError", "DomainError", "NotElementaryError",
 ]
 
@@ -207,9 +212,18 @@ def _sort_key(e: Expr):
     return key
 
 
+def _to_float(v) -> float:
+    """float(v), saturated to +-inf for exact rationals beyond the float
+    range (float() raises OverflowError on those)."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _sort_key_uncached(e: Expr):
     if isinstance(e, Num):
-        return (0, float(e.value), isinstance(e.value, float), str(e.value))
+        return (0, _to_float(e.value), isinstance(e.value, float), str(e.value))
     if isinstance(e, Sym):
         return (1, e.name)
     if isinstance(e, Prim):
@@ -393,7 +407,7 @@ def pow_(base, exponent) -> Expr:
     if is_one(base):
         return ONE
     if is_zero(base):
-        if isinstance(e, Num) and (e.value if not isinstance(e.value, float) else e.value) > 0:
+        if isinstance(e, Num) and e.value > 0:
             return ZERO
         return Pow(base, e)
 
@@ -560,25 +574,37 @@ def opaque(name: str, order: int, arg) -> Opaque:
     return Opaque(name, order, as_expr(arg))
 
 
+def _rebuild(e: Expr, visit: Callable) -> Expr:
+    """Rebuild a tree bottom-up through the canonical constructors.
+
+    `visit` sees every node first, outermost first; a result other than
+    None replaces that node's whole subtree.
+    """
+    out = visit(e)
+    if out is not None:
+        return out
+    if isinstance(e, (Num, Sym)):
+        return e
+    if isinstance(e, Add):
+        return add(*[_rebuild(t, visit) for t in e.terms])
+    if isinstance(e, Mul):
+        return mul(*[_rebuild(f, visit) for f in e.factors])
+    if isinstance(e, Pow):
+        return pow_(_rebuild(e.base, visit), _rebuild(e.exponent, visit))
+    if isinstance(e, Prim):
+        return prim(e.name, _rebuild(e.arg, visit))
+    if isinstance(e, Opaque):
+        return opaque(e.name, e.order, _rebuild(e.arg, visit))
+    raise TypeError(type(e))
+
+
 def simplify(e: Expr) -> Expr:
     """Rebuild a tree through the canonical constructors.
 
     Trees built by this module are already canonical; this is the entry
     point for trees assembled by hand from raw node constructors.
     """
-    if isinstance(e, (Num, Sym)):
-        return e
-    if isinstance(e, Add):
-        return add(*[simplify(t) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[simplify(f) for f in e.factors])
-    if isinstance(e, Pow):
-        return pow_(simplify(e.base), simplify(e.exponent))
-    if isinstance(e, Prim):
-        return prim(e.name, simplify(e.arg))
-    if isinstance(e, Opaque):
-        return opaque(e.name, e.order, simplify(e.arg))
-    raise TypeError(type(e))
+    return _rebuild(e, lambda x: None)
 
 
 # ---------------------------------------------------------------------------
@@ -685,45 +711,13 @@ def differentiate(e: Expr, s: str) -> Expr:
 def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     """Simultaneous substitution of symbols by expressions."""
     bindings = {k: as_expr(v) for k, v in bindings.items()}
-
-    def walk(x):
-        if isinstance(x, Num):
-            return x
-        if isinstance(x, Sym):
-            return bindings.get(x.name, x)
-        if isinstance(x, Add):
-            return add(*[walk(t) for t in x.terms])
-        if isinstance(x, Mul):
-            return mul(*[walk(f) for f in x.factors])
-        if isinstance(x, Pow):
-            return pow_(walk(x.base), walk(x.exponent))
-        if isinstance(x, Prim):
-            return prim(x.name, walk(x.arg))
-        if isinstance(x, Opaque):
-            return opaque(x.name, x.order, walk(x.arg))
-        raise TypeError(type(x))
-
-    return walk(e)
+    return _rebuild(
+        e, lambda x: bindings.get(x.name) if isinstance(x, Sym) else None)
 
 
 def replace_subexpr(e: Expr, target: Expr, replacement: Expr) -> Expr:
     """Replace every occurrence of an exact subtree."""
-    if e == target:
-        return replacement
-    if isinstance(e, (Num, Sym)):
-        return e
-    if isinstance(e, Add):
-        return add(*[replace_subexpr(t, target, replacement) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[replace_subexpr(f, target, replacement) for f in e.factors])
-    if isinstance(e, Pow):
-        return pow_(replace_subexpr(e.base, target, replacement),
-                    replace_subexpr(e.exponent, target, replacement))
-    if isinstance(e, Prim):
-        return prim(e.name, replace_subexpr(e.arg, target, replacement))
-    if isinstance(e, Opaque):
-        return opaque(e.name, e.order, replace_subexpr(e.arg, target, replacement))
-    raise TypeError(type(e))
+    return _rebuild(e, lambda x: replacement if x == target else None)
 
 
 def instantiate_opaque(e: Expr, name: str, body: Expr, var: str) -> Expr:
@@ -740,24 +734,13 @@ def instantiate_opaque(e: Expr, name: str, body: Expr, var: str) -> Expr:
             deriv_cache[j + 1] = differentiate(deriv_cache[j], var)
         return deriv_cache[k]
 
-    def walk(x):
+    def visit(x):
         if isinstance(x, Opaque) and x.name == name:
-            return substitute(body_deriv(x.order), {var: walk(x.arg)})
-        if isinstance(x, (Num, Sym)):
-            return x
-        if isinstance(x, Add):
-            return add(*[walk(t) for t in x.terms])
-        if isinstance(x, Mul):
-            return mul(*[walk(f) for f in x.factors])
-        if isinstance(x, Pow):
-            return pow_(walk(x.base), walk(x.exponent))
-        if isinstance(x, Prim):
-            return prim(x.name, walk(x.arg))
-        if isinstance(x, Opaque):
-            return opaque(x.name, x.order, walk(x.arg))
-        raise TypeError(type(x))
+            return substitute(body_deriv(x.order),
+                              {var: _rebuild(x.arg, visit)})
+        return None
 
-    return walk(e)
+    return _rebuild(e, visit)
 
 
 def solve_for(e: Expr, var: str, rhs: Expr):
@@ -941,61 +924,166 @@ class EvalPoint:
     symbols: Mapping[str, float]
     functions: Mapping[str, Callable] = None
 
-    def symbol(self, name):
-        try:
-            return self.symbols[name]
-        except KeyError:
-            raise EvaluationError(f"unbound symbol {name!r}") from None
 
-    def function(self, name):
-        if self.functions and name in self.functions:
-            return self.functions[name]
-        raise EvaluationError(f"unbound function symbol {name!r}")
+class _Emitter:
+    """Writes expression trees as straight-line numpy code over local names.
+
+    Sums and products fold left and every node becomes the one numpy call
+    it names, in the tree's own order, so the generated code computes
+    exactly what a node-by-node evaluation computes.  An operation met
+    again on the same operands reuses the first result (shared subtrees
+    are computed once), which gives the same value.  Constants are
+    loaded once at the top of the generated function; an exact constant
+    beyond the float range loads as inf.  Each temporary is deleted after
+    its last use, so a large intermediate is freed as early as in a
+    node-by-node evaluation.  With `functions` set, an opaque function
+    symbol calls its body from the table `_f` the generated function
+    takes; otherwise it cannot be compiled.
+    """
+
+    def __init__(self, functions: bool = False):
+        self.functions = functions
+        self.head = []       # constant loads
+        self.body = []       # (line, emitted names the line reads)
+        self.consts = []
+        self.names = {}      # symbol name -> local holding its value
+        self._memo = {}      # emitted code (or constant repr) -> local
+        self._temps = set()  # temporaries assigned in the body
+
+    def line(self, text: str, *reads: str) -> None:
+        self.body.append((text, reads))
+
+    def value(self, e: Expr) -> str:
+        """Emit e and return the local name holding its value."""
+        if isinstance(e, Num):
+            return self._const(_to_float(e.value))
+        if isinstance(e, Sym):
+            return self.names[e.name]
+        if isinstance(e, (Add, Mul)):
+            args, sign = ((e.terms, "+") if isinstance(e, Add)
+                          else (e.factors, "*"))
+            out = self.value(args[0])
+            for a in args[1:]:
+                b = self.value(a)
+                out = self._op(f"{out} {sign} {b}", out, b)
+            return out
+        if isinstance(e, Pow):
+            b, x = self.value(e.base), self.value(e.exponent)
+            return self._op(f"_power({b}, {x})", b, x)
+        if isinstance(e, Prim):
+            a = self.value(e.arg)
+            return self._op(f"_{e.name}({a})", a)
+        if isinstance(e, Opaque):
+            if not self.functions:
+                raise ValueError(
+                    f"cannot compile free function symbol {e.name!r}; "
+                    "instantiate it before simulating")
+            a = self.value(e.arg)
+            return self._op(f"_f[{e.name!r}]({e.order}, {a})", a)
+        raise TypeError(f"unknown node {type(e).__name__}")
+
+    def _const(self, v: float) -> str:
+        key = repr(v)        # keeps -0.0 apart from 0.0
+        name = self._memo.get(key)
+        if name is None:
+            name = self._memo[key] = f"c{len(self.consts)}"
+            self.head.append(f"{name} = _c[{len(self.consts)}]")
+            self.consts.append(v)
+        return name
+
+    def _op(self, code: str, *operands: str) -> str:
+        name = self._memo.get(code)
+        if name is None:
+            name = self._memo[code] = f"v{len(self._memo)}"
+            self._temps.add(name)
+            self.line(f"{name} = {code}", *operands)
+        return name
+
+    def build(self, name: str, params: str, prologue=(), loop: str = None):
+        """Define `name(params)`: the head, then `prologue`, then the body,
+        inside the for-statement `loop` when one is given."""
+        last = {r: i for i, (_, reads) in enumerate(self.body) for r in reads}
+        body = []
+        for i, (text, reads) in enumerate(self.body):
+            body.append(text)
+            dead = sorted({r for r in reads
+                           if r in self._temps and last[r] == i})
+            if dead and i + 1 < len(self.body):
+                body.append("del " + ", ".join(dead))
+        if loop is not None:
+            body = [loop] + ["    " + ln for ln in body]
+        src = "\n".join([f"def {name}({params}):"]
+                        + ["    " + ln for ln in [*self.head, *prologue,
+                                                  *body]])
+        ns = {"_c": self.consts, "_power": np.power, "_exp": np.exp,
+              "_log": np.log, "_sin": np.sin, "_cos": np.cos,
+              "_add": np.add, "_empty": np.empty}
+        exec(compile(src, f"<sdesym {name}>", "exec"), ns)
+        return ns[name]
+
+
+def _compile(exprs: Sequence[Expr], names: Sequence[str],
+             functions: bool = False):
+    """One generated function `f(env, _f=None)` returning the tuple of the
+    values of `exprs`; `env` maps each of `names` to a value or array."""
+    em = _Emitter(functions)
+    for j, name in enumerate(names):
+        em.names[name] = f"a{j}"
+        em.line(f"a{j} = env[{name!r}]")
+    outs = [em.value(e) for e in exprs]
+    em.line(f"return {', '.join(outs)},", *outs)
+    return em.build("compiled", "env, _f=None")
+
+
+def compile_expr(e: Expr):
+    """Compile an expression to a function of a dict of numpy arrays.
+
+    The function returns an array broadcast from its inputs (or a plain
+    float for constant expressions).  Domain violations surface as
+    nan/inf in the output rather than exceptions; callers run under
+    errstate(all='ignore') and treat non-finite values as exits from
+    the validity domain.
+    """
+    fn = _compile((e,), sorted(free_symbols(e)))
+    return lambda env: fn(env)[0]
+
+
+def _evaluator(exprs: Sequence[Expr]):
+    """Compile `exprs` once into `run(points, functions=None)`.
+
+    `points` is a list of dicts of symbol values; `run` evaluates every
+    expression at every point in one generated call and returns an array
+    of shape (len(exprs), len(points)), nan or inf where a point lies
+    outside an expression's domain.  An unbound symbol or function
+    symbol raises EvaluationError.
+    """
+    names = sorted(frozenset().union(*map(free_symbols, exprs)))
+    fn = _compile(exprs, names, functions=True)
+
+    def run(points, functions=None):
+        out = np.empty((len(exprs), len(points)))
+        try:
+            env = {n: np.array([p[n] for p in points], dtype=float)
+                   for n in names}
+            with np.errstate(all="ignore"):
+                for row, v in zip(out, fn(env, functions or {})):
+                    row[...] = v
+        except KeyError as exc:
+            raise EvaluationError(
+                f"unbound symbol or function {exc.args[0]!r}") from None
+        return out
+
+    return run
 
 
 def evaluate(e: Expr, point: EvalPoint) -> float:
-    if isinstance(e, Num):
-        return float(e.value)
-    if isinstance(e, Sym):
-        return float(point.symbol(e.name))
-    if isinstance(e, Add):
-        return math.fsum(evaluate(t, point) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= evaluate(f, point)
-        return out
-    if isinstance(e, Pow):
-        b = evaluate(e.base, point)
-        p = evaluate(e.exponent, point)
-        if b == 0.0 and p <= 0:
-            raise EvaluationError("0 raised to a nonpositive power")
-        if b < 0.0 and p != round(p):
-            raise EvaluationError("negative base with non-integer exponent")
-        try:
-            return math.pow(b, p)
-        except (OverflowError, ValueError) as exc:
-            raise EvaluationError(str(exc)) from None
-    if isinstance(e, Prim):
-        a = evaluate(e.arg, point)
-        try:
-            if e.name == "exp":
-                return math.exp(a)
-            if e.name == "log":
-                if a <= 0.0:
-                    raise EvaluationError("log of a nonpositive value")
-                return math.log(a)
-            if e.name == "sin":
-                return math.sin(a)
-            if e.name == "cos":
-                return math.cos(a)
-        except OverflowError as exc:
-            raise EvaluationError(str(exc)) from None
-        raise ExprError(e.name)
-    if isinstance(e, Opaque):
-        fn = point.function(e.name)
-        return float(fn(e.order, evaluate(e.arg, point)))
-    raise TypeError(type(e))
+    """Value of e at one point, by the generated code on a one-point batch;
+    EvaluationError on an unbound name or a non-finite value."""
+    v = float(_evaluator((e,))([point.symbols], point.functions)[0, 0])
+    if not math.isfinite(v):
+        raise EvaluationError(
+            f"value {v} is not finite at {dict(point.symbols)}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -1024,11 +1112,6 @@ class Domain:
             return (-1.0, 1.0)
         return (0.5, 2.0)
 
-    def with_overrides(self, extra: Mapping[str, tuple]) -> "Domain":
-        merged = dict(self.bounds)
-        merged.update(extra)
-        return Domain(merged)
-
     def sample(self, names: Iterable[str], rng) -> dict:
         return {n: rng.uniform(*self.range_for(n)) for n in names}
 
@@ -1044,33 +1127,41 @@ _EQ_SEED = 905157  # fixed: equivalence checks are deterministic by default
 _MAX_RETRIES = 64
 
 
-def _sample_eval(exprs: Sequence[Expr], domain: Domain, rng, n_points, n_batches):
-    """Yield tuples of simultaneous values of `exprs` at sampled points."""
-    names = frozenset()
-    onames = frozenset()
-    for e in exprs:
-        names = names | free_symbols(e)
-        onames = onames | opaque_functions(e)
-    names = sorted(names)
+def _sample_eval(exprs: Sequence[Expr], domain: Domain, rng, n_points,
+                 n_batches):
+    """Yield (batch, values) for each round of draws.
 
+    Points are drawn one at a time through `domain.sample` and evaluated
+    together, every expression in one generated call; `values` holds, in
+    draw order, the columns of the points where all of `exprs` are
+    finite.  A round draws the batch's shortfall, or fewer when the
+    retry limit is closer, so the points drawn, and the draw at which
+    DomainError is raised, are those of a point-by-point loop.  Opaque
+    function symbols get fresh random polynomials per batch.  Without
+    domain or rng, the default box and the fixed equivalence seed serve.
+    """
+    domain = domain or Domain()
+    rng = rng if rng is not None else np.random.default_rng(_EQ_SEED)
+    names = sorted(frozenset().union(*map(free_symbols, exprs)))
+    onames = sorted(frozenset().union(*map(opaque_functions, exprs)))
+    run = _evaluator(exprs)
     batches = n_batches if onames else 1
     per_batch = -(-n_points // batches)
-    for _ in range(batches):
-        funcs = {nm: PolyTestFunction.random(rng) for nm in sorted(onames)}
-        got = 0
-        tries = 0
+    limit = _MAX_RETRIES * per_batch
+    for b in range(batches):
+        funcs = {nm: PolyTestFunction.random(rng) for nm in onames}
+        got = tries = 0
         while got < per_batch:
-            pt = EvalPoint(domain.sample(names, rng), funcs)
-            try:
-                vals = tuple(evaluate(e, pt) for e in exprs)
-            except EvaluationError:
-                tries += 1
-                if tries > _MAX_RETRIES * per_batch:
-                    raise DomainError(
-                        "could not sample evaluable points; check the validity box")
-                continue
-            got += 1
-            yield vals
+            k = min(per_batch - got, limit + 1 - tries)
+            vals = run([domain.sample(names, rng) for _ in range(k)], funcs)
+            keep = vals[:, np.isfinite(vals).all(axis=0)]
+            if keep.shape[1]:
+                yield b, keep
+            got += keep.shape[1]
+            tries += k - keep.shape[1]
+            if tries > limit:
+                raise DomainError(
+                    "could not sample evaluable points; check the validity box")
 
 
 def equivalent(a: Expr, b: Expr, domain: Domain = None, *,
@@ -1088,10 +1179,8 @@ def equivalent(a: Expr, b: Expr, domain: Domain = None, *,
     b = as_expr(b)
     if a == b:
         return True
-    domain = domain or Domain()
-    rng = rng if rng is not None else np.random.default_rng(_EQ_SEED)
-    for va, vb in _sample_eval((a, b), domain, rng, n_points, n_batches):
-        if not abs(va - vb) <= tol * (1.0 + abs(va) + abs(vb)):
+    for _, (va, vb) in _sample_eval((a, b), domain, rng, n_points, n_batches):
+        if not np.all(np.abs(va - vb) <= tol * (1.0 + np.abs(va) + np.abs(vb))):
             return False
     return True
 
@@ -1103,12 +1192,42 @@ def max_abs_on_domain(e: Expr, domain: Domain = None, *, rng=None,
     e = as_expr(e)
     if is_zero(e):
         return 0.0
-    domain = domain or Domain()
-    rng = rng if rng is not None else np.random.default_rng(_EQ_SEED)
     worst = 0.0
-    for (v,) in _sample_eval((e,), domain, rng, n_points, n_batches):
-        worst = max(worst, abs(v))
+    for _, (v,) in _sample_eval((e,), domain, rng, n_points, n_batches):
+        worst = max(worst, float(np.abs(v).max()))
     return worst
+
+
+def vanishes_on_domain(e: Expr, domain: Domain = None, *,
+                       n_points: int = 200) -> tuple:
+    """(verdict, max |e|) of a residual from one sampling pass.
+
+    The verdict is `equivalent(e, ZERO, domain)` and the maximum is
+    `max_abs_on_domain(e, domain, n_points=n_points)`, both read off the
+    draws of the latter (continued when n_points is below
+    DEFAULT_EQ_POINTS).  Without opaque function symbols the verdict
+    therefore sees exactly the points `equivalent` draws; with them, it
+    takes its share from the head of each function batch.
+    """
+    e = as_expr(e)
+    if is_zero(e):
+        return True, 0.0
+    batches = DEFAULT_EQ_FUNC_BATCHES if opaque_functions(e) else 1
+    n_eq = -(-DEFAULT_EQ_POINTS // batches)
+    n_max = -(-n_points // batches)
+    seen = [0] * batches    # accepted points so far, per batch
+    ok, worst = True, 0.0
+    for b, (v,) in _sample_eval((e,), domain, None,
+                                max(n_points, DEFAULT_EQ_POINTS),
+                                DEFAULT_EQ_FUNC_BATCHES):
+        a = np.abs(v)
+        head = a[:max(0, n_eq - seen[b])]
+        ok = ok and bool(np.all(head <= DEFAULT_EQ_TOL * (1.0 + head)))
+        head = a[:max(0, n_max - seen[b])]
+        if head.size:
+            worst = max(worst, float(head.max()))
+        seen[b] += a.size
+    return ok, worst
 
 
 def sample_points(names: Sequence[str], domain: Domain = None, *,

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import (
-    Expr, Num, Sym, Add, Mul, Pow, Prim, Opaque, ZERO,
-    EvalPoint, evaluate, is_zero, free_symbols, opaque_functions, add, mul,
-    differentiate,
+    Expr, ZERO, EvaluationError, _Emitter, _evaluator, compile_expr,
+    is_zero, opaque_functions, add, mul, differentiate, to_str,
 )
 from .model import SdeSystem, VectorField
 from .calculus import as_ito, InterpretationError, TransformedSde
@@ -34,114 +33,6 @@ __all__ = [
 
 EULER_MARUYAMA = "EulerMaruyama"
 STRATONOVICH_HEUN = "StratonovichHeun"
-
-
-class _Emitter:
-    """Writes expression trees as straight-line numpy code over local names.
-
-    Sums and products fold left and every node becomes the one numpy call
-    it names, in the tree's own order, so the generated code computes
-    exactly what a node-by-node evaluation computes.  An operation met
-    again on the same operands reuses the first result (shared subtrees
-    are computed once), which gives the same value.  Constants are
-    loaded once at the top of the generated function.  Each temporary is
-    deleted after its last use, so a large intermediate is freed as early
-    as in a node-by-node evaluation.
-    """
-
-    def __init__(self):
-        self.head = []       # constant loads
-        self.body = []       # (line, emitted names the line reads)
-        self.consts = []
-        self.names = {}      # symbol name -> local holding its value
-        self._memo = {}      # emitted code (or constant repr) -> local
-        self._temps = set()  # temporaries assigned in the body
-
-    def line(self, text: str, *reads: str) -> None:
-        self.body.append((text, reads))
-
-    def value(self, e: Expr) -> str:
-        """Emit e and return the local name holding its value."""
-        if isinstance(e, Num):
-            return self._const(float(e.value))
-        if isinstance(e, Sym):
-            return self.names[e.name]
-        if isinstance(e, (Add, Mul)):
-            args, sign = ((e.terms, "+") if isinstance(e, Add)
-                          else (e.factors, "*"))
-            out = self.value(args[0])
-            for a in args[1:]:
-                b = self.value(a)
-                out = self._op(f"{out} {sign} {b}", out, b)
-            return out
-        if isinstance(e, Pow):
-            b, x = self.value(e.base), self.value(e.exponent)
-            return self._op(f"_power({b}, {x})", b, x)
-        if isinstance(e, Prim):
-            a = self.value(e.arg)
-            return self._op(f"_{e.name}({a})", a)
-        if isinstance(e, Opaque):
-            raise ValueError(
-                f"cannot compile free function symbol {e.name!r}; "
-                "instantiate it before simulating")
-        raise TypeError(f"unknown node {type(e).__name__}")
-
-    def _const(self, v: float) -> str:
-        key = repr(v)        # keeps -0.0 apart from 0.0
-        name = self._memo.get(key)
-        if name is None:
-            name = self._memo[key] = f"c{len(self.consts)}"
-            self.head.append(f"{name} = _c[{len(self.consts)}]")
-            self.consts.append(v)
-        return name
-
-    def _op(self, code: str, *operands: str) -> str:
-        name = self._memo.get(code)
-        if name is None:
-            name = self._memo[code] = f"v{len(self._memo)}"
-            self._temps.add(name)
-            self.line(f"{name} = {code}", *operands)
-        return name
-
-    def build(self, name: str, params: str, prologue=(), loop: str = None):
-        """Define `name(params)`: the head, then `prologue`, then the body,
-        inside the for-statement `loop` when one is given."""
-        last = {r: i for i, (_, reads) in enumerate(self.body) for r in reads}
-        body = []
-        for i, (text, reads) in enumerate(self.body):
-            body.append(text)
-            dead = sorted({r for r in reads
-                           if r in self._temps and last[r] == i})
-            if dead and i + 1 < len(self.body):
-                body.append("del " + ", ".join(dead))
-        if loop is not None:
-            body = [loop] + ["    " + ln for ln in body]
-        src = "\n".join([f"def {name}({params}):"]
-                        + ["    " + ln for ln in [*self.head, *prologue,
-                                                  *body]])
-        ns = {"_c": self.consts, "_power": np.power, "_exp": np.exp,
-              "_log": np.log, "_sin": np.sin, "_cos": np.cos,
-              "_add": np.add, "_empty": np.empty}
-        exec(compile(src, f"<sdesym {name}>", "exec"), ns)
-        return ns[name]
-
-
-def compile_expr(e: Expr):
-    """Compile an expression to a function of a dict of numpy arrays.
-
-    The function returns an array broadcast from its inputs (or a plain
-    float for constant expressions).  Domain violations surface as
-    nan/inf in the output rather than exceptions; callers run under
-    errstate(all='ignore') and treat non-finite values as exits from
-    the validity domain.
-    """
-    em = _Emitter()
-    for j, name in enumerate(sorted(free_symbols(e))):
-        em.names[name] = f"a{j}"
-        em.line(f"a{j} = env[{name!r}]")
-    out = em.value(e)
-    em.line(f"return {out}", out)
-    return em.build("compiled", "env")
 
 
 @dataclass(frozen=True)
@@ -586,9 +477,10 @@ def finite_difference(e: Expr, s: str, point: dict, step: float = 1e-6,
     """Central difference of e with respect to symbol s at a point."""
     hi = dict(point); hi[s] = point[s] + step
     lo = dict(point); lo[s] = point[s] - step
-    fhi = evaluate(e, EvalPoint(hi, functions))
-    flo = evaluate(e, EvalPoint(lo, functions))
-    return (fhi - flo) / (2.0 * step)
+    fhi, flo = _evaluator((e,))([hi, lo], functions)[0]
+    if not (math.isfinite(fhi) and math.isfinite(flo)):
+        raise EvaluationError(f"{to_str(e)} is not finite near {point}")
+    return float((fhi - flo) / (2.0 * step))
 
 
 def export_csv(ps: PathSet, fileobj) -> None:

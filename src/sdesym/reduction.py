@@ -20,10 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from .expr import (
-    Expr, ZERO, ONE, Num, Sym, Domain, EvalPoint,
+    Expr, ZERO, ONE, Num, Sym, Domain,
     add, mul, pow_, opaque, differentiate, substitute, antiderivative,
-    equivalent, evaluate, free_symbols, opaque_functions, contains, is_zero,
-    simplify, sample_points, EvaluationError, NotElementaryError,
+    equivalent, free_symbols, opaque_functions, contains, is_zero,
+    simplify, solve_for, sample_points, NotElementaryError, _evaluator,
 )
 from .model import SdeSystem, VectorField, classify
 from .calculus import (
@@ -32,14 +32,15 @@ from .calculus import (
 )
 from .symmetry import (
     SymmetryReport, CompatibilityData, SolvabilityResult,
-    residual_ito, compatibility_check, solvable_check, orbit_rank,
+    residual_ito, compatibility_check, solvable_check, orbit_ranks,
 )
 
 __all__ = [
     "INTEGRABLE_ITO", "INTEGRABLE_QUADRATURE", "NOT_INTEGRABLE_FORM",
     "ReductionError", "DegenerateGenerator", "UnverifiedCandidate",
-    "HypothesisError", "StraighteningMap", "FreeFunctionAnsatz",
-    "ConditionCheck", "ReductionResult", "NecessityResult", "SystemReduction",
+    "HypothesisError", "PreconditionError", "StraighteningMap",
+    "FreeFunctionAnsatz", "ConditionCheck", "ReductionResult",
+    "NecessityResult", "SystemReduction",
     "straighten", "reduce_deterministic", "reduce_random",
     "necessity_roundtrip", "reduce_system_solvable",
 ]
@@ -53,6 +54,11 @@ _HALF = Num(Fraction(1, 2))
 
 class ReductionError(Exception):
     pass
+
+
+class PreconditionError(ValueError):
+    """The input is outside what a reduction accepts: the wrong number of
+    states or noises, a candidate of the wrong kind, or a bad ansatz."""
 
 
 class DegenerateGenerator(ReductionError):
@@ -149,18 +155,16 @@ def _classification(tr: TransformedSde) -> str:
 
 def _nonvanishing(phi: Expr, names, domain: Domain, n_points: int = 120,
                   what: str = "generator coefficient"):
+    if opaque_functions(phi):   # no point evaluates: nothing to test
+        return
     pts = sample_points(sorted(names), domain, n_points=n_points)
-    seen_pos = seen_neg = False
-    for pt in pts:
-        try:
-            v = evaluate(phi, EvalPoint(pt))
-        except EvaluationError:
-            continue
-        if not abs(v) > 1e-12:
-            raise DegenerateGenerator(f"{what} {phi} vanishes near {pt}")
-        seen_pos = seen_pos or v > 0
-        seen_neg = seen_neg or v < 0
-    if seen_pos and seen_neg:
+    v = _evaluator((phi,))(pts)[0]
+    usable = np.isfinite(v)     # points outside phi's domain are skipped
+    small = usable & ~(np.abs(v) > 1e-12)
+    if small.any():
+        raise DegenerateGenerator(
+            f"{what} {phi} vanishes near {pts[int(np.argmax(small))]}")
+    if (v[usable] > 0).any() and (v[usable] < 0).any():
         raise DegenerateGenerator(
             f"{what} {phi} changes sign on the domain, so it vanishes "
             "somewhere inside it")
@@ -206,23 +210,21 @@ def straighten(phi: Expr, state: str, *, domain: Domain = None,
 
 
 def _solve_inverse(the_map: Expr, state: str, new_symbol: str, domain: Domain):
-    from .expr import solve_for
     inv = solve_for(the_map, state, Sym(new_symbol))
-    if inv is None:
+    if inv is None or opaque_functions(the_map):
         return "implicit"
     # numeric spot check before trusting the peeled inverse
     names = sorted(free_symbols(the_map) | {state})
-    ok = 0
-    for pt in sample_points(names, domain, n_points=24):
-        try:
-            x = evaluate(the_map, EvalPoint(pt))
-            back = evaluate(inv, EvalPoint({**pt, new_symbol: x}))
-        except EvaluationError:
-            continue
-        if not abs(back - pt[state]) <= 1e-8 * (1.0 + abs(pt[state])):
-            return "implicit"
-        ok += 1
-    return inv if ok else "implicit"
+    pts = sample_points(names, domain, n_points=24)
+    x = _evaluator((the_map,))(pts)[0]
+    back = _evaluator((inv,))(
+        [{**pt, new_symbol: xv} for pt, xv in zip(pts, x)])[0]
+    y = np.array([pt[state] for pt in pts])
+    usable = np.isfinite(x) & np.isfinite(back)
+    gap = np.abs(back - y)[usable]
+    if not np.all(gap <= 1e-8 * (1.0 + np.abs(y[usable]))):
+        return "implicit"
+    return inv if usable.any() else "implicit"
 
 
 def _verified_report(sys: SdeSystem, v: VectorField, verify: bool,
@@ -243,10 +245,11 @@ def reduce_deterministic(sys: SdeSystem, v: VectorField, *,
     was_strat = not sys.is_ito()
     sys = as_ito(sys)
     if sys.n != 1:
-        raise ValueError("scalar reduction needs a one-state system")
+        raise PreconditionError("scalar reduction needs a one-state system")
     cls = classify(v)
     if not cls.deterministic:
-        raise ValueError("candidate depends on the noise; use reduce_random")
+        raise PreconditionError(
+            "candidate depends on the noise; use reduce_random")
     report = _verified_report(sys, v, verify, n_points)
 
     st = straighten(v.xi[0], sys.states[0], domain=sys.domain,
@@ -275,8 +278,8 @@ def reduce_random(sys: SdeSystem, v: VectorField,
     was_strat = not sys.is_ito()
     sys = as_ito(sys)
     if sys.n != 1 or sys.m != 1:
-        raise ValueError("random reduction is a scalar statement "
-                         "(one state, one noise)")
+        raise PreconditionError("random reduction is a scalar statement "
+                                "(one state, one noise)")
     cls = classify(v)
     if opaque_functions(v.xi[0]):
         raise ReductionError(
@@ -318,11 +321,13 @@ def reduce_random(sys: SdeSystem, v: VectorField,
 def _check_ansatz(b: Expr, c: Expr, sys: SdeSystem):
     bad = free_symbols(b) - {sys.time}
     if bad:
-        raise ValueError(f"ansatz b may depend on {sys.time} only, found {sorted(bad)}")
+        raise PreconditionError(
+            f"ansatz b may depend on {sys.time} only, found {sorted(bad)}")
     forbidden = set(sys.states) | set(sys.noises) | {sys.time}
     bad = free_symbols(c) & forbidden
     if bad:
-        raise ValueError(f"ansatz c must be constant, found {sorted(bad)}")
+        raise PreconditionError(
+            f"ansatz c must be constant, found {sorted(bad)}")
 
 
 @dataclass
@@ -350,7 +355,7 @@ def necessity_roundtrip(sys: SdeSystem, the_map: Expr, *,
     """
     sys = as_ito(sys)
     if sys.n != 1:
-        raise ValueError("necessity round trip is a scalar statement")
+        raise PreconditionError("necessity round trip is a scalar statement")
     y = sys.states[0]
     dmap = differentiate(the_map, y)
     _nonvanishing(dmap, free_symbols(the_map) | {y}, sys.domain,
@@ -417,8 +422,9 @@ def reduce_system_solvable(sys: SdeSystem, generators, adapted_coords=None,
     for g in gens:
         c = classify(g)
         if not (c.simple and c.deterministic):
-            raise ValueError("system reduction expects simple deterministic "
-                             f"generators, got a {c.label} one")
+            raise PreconditionError(
+                "system reduction expects simple deterministic "
+                f"generators, got a {c.label} one")
 
     reports = tuple(_verified_report(sys, g, verify, n_points) for g in gens)
 
@@ -429,10 +435,9 @@ def reduce_system_solvable(sys: SdeSystem, generators, adapted_coords=None,
             f"derived series does not terminate: dims {sol.series_dims}")
 
     names = sorted(set(sys.states) | {sys.time})
-    ranks = []
-    for pt in sample_points(names, sys.domain, n_points=20):
-        full = {**pt, **{w: 0.0 for w in sys.noises}}
-        ranks.append(orbit_rank(gens, full))
+    ranks = orbit_ranks(gens, [{**pt, **{w: 0.0 for w in sys.noises}}
+                               for pt in sample_points(names, sys.domain,
+                                                       n_points=20)])
     if min(ranks) != r or max(ranks) != r:
         raise HypothesisError(
             "orbit-rank",
@@ -514,7 +519,6 @@ def _diagonal_maps(sys: SdeSystem, gens):
 
 
 def _componentwise_inverses(sys: SdeSystem, maps):
-    from .expr import solve_for
     out = []
     for i, Z in enumerate(maps):
         x = sys.states[i]

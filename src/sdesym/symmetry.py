@@ -11,8 +11,9 @@ Ito form:
 Stratonovich form: the same R2, and R1 without the Delta term (drift b):
     R1^i   = xi^i_t + b^j xi^i_{x^j} - xi^j b^i_{x^j}
 
-Every residual gets both a symbolic zero-verdict (randomized equivalence)
-and a sampled max-magnitude, so reports carry evidence, not just booleans.
+Every residual gets both a zero-verdict (randomized equivalence) and a
+sampled max-magnitude, read off one sampling pass, so reports carry
+evidence, not just booleans.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from fractions import Fraction
 import numpy as np
 
 from .expr import (
-    Expr, ZERO, Num, EvalPoint, Domain, add, mul, pow_, differentiate,
-    equivalent, evaluate, is_zero, max_abs_on_domain, sample_points,
+    Expr, ZERO, Num, EvalPoint, Domain, EvaluationError, add, mul, pow_,
+    differentiate, evaluate, is_zero, sample_points, vanishes_on_domain,
+    _evaluator,
 )
 from .model import SdeSystem, VectorField, Classification, classify, ITO, STRATONOVICH
 from .calculus import ito_laplacian, drift_correction, InterpretationError, _require
@@ -34,6 +36,7 @@ __all__ = [
     "NonSimpleCandidate", "residual_ito", "residual_stratonovich",
     "residual_associated_stratonovich", "compatibility_check",
     "tau_condition", "commutator", "solvable_check", "orbit_rank",
+    "orbit_ranks",
 ]
 
 _HALF = Num(Fraction(1, 2))
@@ -69,15 +72,15 @@ def _check_simple(v: VectorField):
 
 
 def _report(route, cls, drift_res, noise_res, domain, n_points) -> SymmetryReport:
-    drift_ok = tuple(is_zero(r) or equivalent(r, ZERO, domain) for r in drift_res)
-    noise_ok = tuple(
-        tuple(is_zero(r) or equivalent(r, ZERO, domain) for r in row)
-        for row in noise_res)
-    worst = 0.0
-    for r in drift_res + tuple(x for row in noise_res for x in row):
-        worst = max(worst, max_abs_on_domain(r, domain, n_points=n_points))
+    def check(r):
+        return vanishes_on_domain(r, domain, n_points=n_points)
+    drift = [check(r) for r in drift_res]
+    noise = [[check(r) for r in row] for row in noise_res]
+    every = drift + [c for row in noise for c in row]
     return SymmetryReport(route, cls, drift_res, noise_res,
-                          drift_ok, noise_ok, worst, n_points)
+                          tuple(ok for ok, _ in drift),
+                          tuple(tuple(ok for ok, _ in row) for row in noise),
+                          max((w for _, w in every), default=0.0), n_points)
 
 
 def _diffusion_residuals(sys: SdeSystem, v: VectorField):
@@ -189,8 +192,7 @@ def compatibility_check(sys: SdeSystem, phi: Expr, domain: Domain = None,
         mul(-1, F, d(gamma, w)),
         mul(Num(Fraction(-1, 2)), S, d(d(gamma, w), w)),
         mul(Num(Fraction(-1, 2)), S, S, d(d(gamma, y), w)))
-    ok = is_zero(residual) or equivalent(residual, ZERO, domain)
-    worst = max_abs_on_domain(residual, domain, n_points=n_points)
+    ok, worst = vanishes_on_domain(residual, domain, n_points=n_points)
     return CompatibilityData(gamma, residual, ok, worst)
 
 
@@ -257,22 +259,14 @@ class SolvabilityResult:
     series: tuple           # spanning fields per level
 
 
-def _value_row(f: VectorField, points):
-    row = []
-    for pt in points:
-        ep = EvalPoint(pt)
-        for x in f.xi:
-            row.append(evaluate(x, ep))
-    return np.asarray(row, dtype=float)
-
-
 def _independent_subset(fields, points, tol=1e-8):
     """Greedy numeric choice of fields spanning the same sampled space."""
     keep = []
     rows = []
     rank = 0
     for f in fields:
-        row = _value_row(f, points)
+        # f's components at each point, point by point in one row
+        row = _evaluator(f.xi)(points).T.ravel()
         if not np.all(np.isfinite(row)):
             raise ValueError("field evaluation produced non-finite values")
         if np.linalg.norm(row) <= tol:
@@ -321,6 +315,14 @@ def solvable_check(generators, domain: Domain = None, n_points: int = 25,
 
 def orbit_rank(generators, point: dict, tol: float = 1e-8) -> int:
     """Rank of the matrix of generator components at one point."""
-    ep = EvalPoint(point)
-    rows = [[evaluate(x, ep) for x in g.xi] for g in generators]
-    return int(np.linalg.matrix_rank(np.asarray(rows, dtype=float), tol=tol))
+    return orbit_ranks(generators, [point], tol)[0]
+
+
+def orbit_ranks(generators, points, tol: float = 1e-8) -> list:
+    """`orbit_rank` at each point, from one evaluation per generator."""
+    mats = np.stack([_evaluator(g.xi)(points).T for g in generators], axis=1)
+    bad = ~np.isfinite(mats).all(axis=(1, 2))
+    if bad.any():
+        raise EvaluationError("generator components are not finite at "
+                              f"{points[int(np.argmax(bad))]}")
+    return [int(r) for r in np.linalg.matrix_rank(mats, tol=tol)]

@@ -397,6 +397,38 @@ def test_verify_needs_candidate(tmp_path, capsys):
     assert "needs --candidate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("xi", ["log(-y)", "y + 10^400"])
+@pytest.mark.parametrize("command", ["check", "reduce", "verify"])
+def test_candidate_without_evaluable_points_is_input_error(
+        tmp_path, capsys, command, xi):
+    # log(-y) has no point of the box in its domain, and 10^400 is inf in
+    # floating point: no sample point is accepted
+    text = open(fixture_path("example1.sde")).read()
+    path = tmp_path / "bad.sde"
+    path.write_text(text.replace("xi.1 = exp(-y)", f"xi.1 = {xi}"))
+    code, rep = run_cli([command, str(path), "--candidate", "X1"], tmp_path)
+    assert code == 2
+    assert rep is None
+    assert "error: could not sample evaluable points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["reduce", "linear2d.sde", "--candidate", "T1"],
+     "scalar reduction needs a one-state system"),
+    (["verify", "linear2d.sde", "--candidate", "T1"],
+     "scalar reduction needs a one-state system"),
+    (["reduce", "example3.sde", "--candidate", "X1", "--beta", "b=y"],
+     "ansatz b may depend on t only"),
+])
+def test_reduction_precondition_is_input_error(tmp_path, capsys, argv,
+                                               message):
+    argv = [fixture_path(a) if a.endswith(".sde") else a for a in argv]
+    code, rep = run_cli(argv, tmp_path)
+    assert code == 2
+    assert rep is None
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 

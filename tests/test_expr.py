@@ -13,12 +13,15 @@ import pytest
 
 from sdesym import (
     Domain, EvalPoint, Num, Sym, ZERO, ONE,
-    antiderivative, differentiate, equivalent, evaluate, free_symbols,
-    instantiate_opaque, is_zero, max_abs_on_domain, opaque, parse, simplify,
-    solve_for, substitute, to_str,
-    EvaluationError, ExprSyntaxError, NotElementaryError,
+    antiderivative, compile_expr, differentiate, equivalent, evaluate,
+    free_symbols, instantiate_opaque, is_zero, max_abs_on_domain, opaque,
+    parse, simplify, solve_for, substitute, to_str,
+    DomainError, EvaluationError, ExprSyntaxError, NotElementaryError,
 )
-from sdesym.expr import add, mul, pow_, prim, PolyTestFunction
+from sdesym.expr import (
+    add, mul, pow_, prim, PolyTestFunction, vanishes_on_domain,
+    _EQ_SEED, _MAX_RETRIES,
+)
 from sdesym.numeric import finite_difference
 
 from conftest import random_expr
@@ -259,6 +262,73 @@ def test_max_abs_on_domain():
     assert max_abs_on_domain(ZERO) == 0.0
     worst = max_abs_on_domain(parse("y"), Domain({"y": (0.5, 2.0)}))
     assert 0.5 <= worst <= 2.0
+
+
+class _CountingBox(Domain):
+    """A box that counts its draws; the draws are the base class's."""
+
+    def __init__(self, bounds):
+        super().__init__(bounds)
+        self.calls = 0
+
+    def sample(self, names, rng):
+        self.calls += 1
+        return super().sample(names, rng)
+
+
+def test_sampler_draws_each_point_once_and_only_the_shortfall():
+    # log(y - 1) is undefined on about a third of the box; a point-by-point
+    # loop over the same stream, with the domain test written out, draws
+    # exactly the points the batched sampler asks the box for
+    e = parse("log(y - 1) + t")
+    box = _CountingBox({"y": (0.5, 2.0)})
+    worst = max_abs_on_domain(e, box, n_points=50)
+    rng = np.random.default_rng(_EQ_SEED)
+    drawn, kept = 0, []
+    while len(kept) < 50:
+        pt = Domain({"y": (0.5, 2.0)}).sample(["t", "y"], rng)
+        drawn += 1
+        if pt["y"] > 1.0:
+            kept.append(abs(math.log(pt["y"] - 1.0) + pt["t"]))
+    assert box.calls == drawn > 60
+    assert worst == pytest.approx(max(kept), rel=1e-14)
+
+
+def test_sampler_gives_up_at_the_same_draw_as_a_point_loop():
+    box = _CountingBox({"y": (0.5, 2.0)})
+    with pytest.raises(DomainError):
+        max_abs_on_domain(parse("log(-y)"), box, n_points=10)
+    assert box.calls == _MAX_RETRIES * 10 + 1
+
+
+@pytest.mark.parametrize("text", [
+    "y^2 - t", "exp(y)*exp(-y) - 1 + 1e-17*y", "log(y - 1)",
+    "(1+y)^12*(1+y) - (1+y)^13", "eta(y) - eta(y)*(1 + 1e-3*t)"])
+@pytest.mark.parametrize("n_points", [10, 200])
+def test_one_pass_equals_equivalent_and_max_abs(text, n_points):
+    e = parse(text)
+    box = Domain({"y": (0.5, 2.0)})
+    ok, worst = vanishes_on_domain(e, box, n_points=n_points)
+    assert ok is equivalent(e, ZERO, box)
+    if free_symbols(e) and "eta" in text and n_points < 64:
+        # the batches of opaque test functions are longer than
+        # max_abs_on_domain's own here, so later batches see other draws
+        return
+    assert worst == max_abs_on_domain(e, box, n_points=n_points)
+
+
+def test_huge_constants_load_as_inf():
+    # exact constants beyond the float range still order (their sort key
+    # saturates to inf) and evaluate to inf, which no sampled point accepts
+    e = parse("y + 10^400")
+    assert parse("10^400 + y") == e
+    assert parse("10^401*t - 10^400*y") == parse("-10^400*y + 10^401*t")
+    assert compile_expr(e)({"y": np.array([1.0])})[0] == math.inf
+    assert compile_expr(parse("-10^400"))({}) == -math.inf
+    with pytest.raises(EvaluationError):
+        evaluate(e, EvalPoint({"y": 1.0}))
+    with pytest.raises(DomainError):
+        max_abs_on_domain(e)
 
 
 def test_domain_defaults():
