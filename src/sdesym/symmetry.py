@@ -320,6 +320,8 @@ def orbit_rank(generators, point: dict, tol: float = 1e-8) -> int:
 
 def orbit_ranks(generators, points, tol: float = 1e-8) -> list:
     """`orbit_rank` at each point, from one evaluation per generator."""
+    if not generators:
+        return [0] * len(points)
     mats = np.stack([_evaluator(g.xi)(points).T for g in generators], axis=1)
     bad = ~np.isfinite(mats).all(axis=(1, 2))
     if bad.any():

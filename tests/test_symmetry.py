@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from sdesym import (
-    Domain, NonSimpleCandidate, VectorField, ZERO,
+    Domain, EvaluationError, NonSimpleCandidate, VectorField, ZERO,
     as_ito, commutator, compatibility_check, equivalent, is_zero,
     ito_to_stratonovich, make_system, orbit_rank, parse, residual_ito,
     residual_associated_stratonovich, residual_stratonovich, sample_points,
     solvable_check, tau_condition,
 )
 from sdesym.expr import add, mul
+from sdesym.symmetry import orbit_ranks
 
 from conftest import all_models, model, random_candidate_const_sigma
 
@@ -254,3 +255,17 @@ def test_orbit_rank_values():
         assert orbit_rank([t1, t2], pt) == 2
         assert orbit_rank([p1, p2], pt) == 1
         assert orbit_rank([_field(("0", "0"), ("x1", "x2"))], pt) == 0
+
+
+def test_orbit_ranks_batch_matches_point_by_point():
+    gens = [_field(("x1", "x2^2"), ("x1", "x2")),
+            _field(("x2", "x1*x2"), ("x1", "x2"))]
+    pts = sample_points(("x1", "x2", "t"), Domain(), n_points=8)
+    pts.append({"x1": 1.0, "x2": 1.0, "t": 0.5})   # both fields equal: rank 1
+    ranks = orbit_ranks(gens, pts)
+    assert ranks == [orbit_rank(gens, pt) for pt in pts]
+    assert ranks[-1] == 1 and 2 in ranks
+    assert orbit_rank([], pts[0]) == 0
+    with pytest.raises(EvaluationError, match="not finite at"):
+        orbit_ranks([_field(("log(x1)", "0"), ("x1", "x2"))],
+                    [{"x1": -1.0, "x2": 0.0, "t": 0.0}])
