@@ -310,7 +310,7 @@ def test_one_pass_equals_equivalent_and_max_abs(text, n_points):
     box = Domain({"y": (0.5, 2.0)})
     ok, worst = vanishes_on_domain(e, box, n_points=n_points)
     assert ok is equivalent(e, ZERO, box)
-    if free_symbols(e) and "eta" in text and n_points < 64:
+    if "eta" in text and n_points < 64:
         # the batches of opaque test functions are longer than
         # max_abs_on_domain's own here, so later batches see other draws
         return
