@@ -501,3 +501,27 @@ def test_export_csv_accepts_path(tmp_path, example1):
     content = target.read_text().strip().split("\n")
     assert content[0] == "t,path,y,w"
     assert len(content) == 1 + 5
+
+
+def test_export_csv_matches_value_by_value_rows():
+    # two states, two noises; path 1 leaves the domain and carries nan,
+    # and a few special values check that every cell is written as %.17g
+    sys = make_system(["x", "z"], ["u", "v"], ["x", "-z/2"],
+                      [["1", "x"], ["z", "1/3"]])
+    ps = simulate(sys, _cfg(paths=3, h=0.125, x0=(1.0, -2.0)))
+    ps.states[1, 3:, 0] = np.nan
+    ps.valid[1] = False
+    ps.states[2, 1, :] = (-0.0, np.inf)
+    ps.states[2, 2, :] = (5e-324, -np.inf)
+    buf = io.StringIO()
+    export_csv(ps, buf)
+
+    w = ps.wiener
+    expected = ["t,path,x,z,u,v"]
+    for p in range(ps.paths):
+        for g in range(len(ps.times)):
+            cells = [ps.times[g], *ps.states[p, g], *w[p, g]]
+            expected.append(",".join(
+                [f"{cells[0]:.17g}", str(p)]
+                + [f"{x:.17g}" for x in cells[1:]]))
+    assert buf.getvalue() == "\n".join(expected) + "\n"
