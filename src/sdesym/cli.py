@@ -18,12 +18,12 @@ import sys as _sys
 import time
 
 from .expr import (
-    ZERO, to_str, is_zero, equivalent, vanishes_on_domain,
+    ZERO, to_str, equivalent, vanishes_on_domain,
     DomainError, NotElementaryError,
 )
 from .parser import parse, ExprSyntaxError
 from .model import (
-    ModelFile, ModelError, VectorField, classify, load_model, print_model,
+    ModelFile, ModelError, classify, load_model, print_model,
     ITO, STRATONOVICH,
 )
 from .calculus import as_ito, ito_to_stratonovich, stratonovich_to_ito
@@ -141,14 +141,13 @@ def _expr_list(exprs) -> list:
 
 
 def _finish(report: dict, verdict: bool, t_start: float, args) -> int:
-    """Record the verdict and the wall time, print the report (and write
-    it to --report), and return the exit code: 0 verified, 1 not."""
+    """Record the verdict and the wall time, write the report to --report
+    (if given), print it, and return the exit code: 0 verified, 1 not."""
     report["verdict"] = verdict
     report["wall_time_s"] = round(time.monotonic() - t_start, 3)
     text = json.dumps(report, indent=2, sort_keys=True)
-    path = getattr(args, "report", None)
-    if path:
-        with open(path, "w") as f:
+    if args.report:
+        with open(args.report, "w") as f:
             f.write(text + "\n")
     print(text)
     return 0 if verdict else 1
@@ -208,30 +207,21 @@ def _check_one(sysm, v, n_points, tol):
     return entry
 
 
-def cmd_check(args) -> int:
-    t_start = time.monotonic()
-    mf, digest = _load(args.model)
+def cmd_check(args, mf: ModelFile, report: dict) -> bool:
     picked = _pick_candidates(mf, args.candidate)
     out = {}
     for name in sorted(picked):
         out[name] = _check_one(mf.system, picked[name], args.numeric_samples,
                                args.tol)
-    return _finish({
-        "command": "check",
-        "model": args.model,
-        "model_hash": digest,
-        "interpretation": mf.system.interpretation,
-        "candidates": out,
-        "tolerance": args.tol,
-    }, all(entry["verified"] for entry in out.values()), t_start, args)
+    report.update(interpretation=mf.system.interpretation, candidates=out,
+                  tolerance=args.tol)
+    return all(entry["verified"] for entry in out.values())
 
 
 # ---------------------------------------------------------------------------
 # convert
 
-def cmd_convert(args) -> int:
-    t_start = time.monotonic()
-    mf, digest = _load(args.model)
+def cmd_convert(args, mf: ModelFile, report: dict) -> bool:
     sysm = mf.system
     target = args.to
     if target == sysm.interpretation:
@@ -245,7 +235,7 @@ def cmd_convert(args) -> int:
             (stratonovich_to_ito(converted) if target == STRATONOVICH
              else ito_to_stratonovich(converted)))
     roundtrip = all(
-        is_zero(a) and is_zero(b) or equivalent(a, b, sysm.domain)
+        equivalent(a, b, sysm.domain)
         for a, b in zip(sysm.drift + tuple(x for r in sysm.diffusion for x in r),
                         back.drift + tuple(x for r in back.diffusion for x in r)))
 
@@ -254,17 +244,15 @@ def cmd_convert(args) -> int:
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
-    return _finish({
-        "command": "convert",
-        "model": args.model,
-        "model_hash": digest,
+    report.update({
         "from": sysm.interpretation,
         "to": target,
         "drift": _expr_list(converted.drift),
         "diffusion": [_expr_list(row) for row in converted.diffusion],
         "roundtrip_equivalent": roundtrip,
         "model_text": text,
-    }, roundtrip, t_start, args)
+    })
+    return roundtrip
 
 
 # ---------------------------------------------------------------------------
@@ -303,131 +291,97 @@ def _reduce_for(mf: ModelFile, name: str, v, beta, n_points):
             f"candidate {name!r} has a time component; reduction here "
             "handles simple candidates")
     if beta is not None or not cls.deterministic:
-        ansatz = beta if beta is not None else None
-        return _red.reduce_random(mf.system, v, ansatz, n_points=n_points)
+        return _red.reduce_random(mf.system, v, beta, n_points=n_points)
     return _red.reduce_deterministic(mf.system, v, n_points=n_points)
 
 
-def cmd_reduce(args) -> int:
-    t_start = time.monotonic()
-    mf, digest = _load(args.model)
-    report = {
-        "command": "reduce",
-        "model": args.model,
-        "model_hash": digest,
-    }
+def cmd_reduce(args, mf: ModelFile, report: dict) -> bool:
+    if args.phi is not None:
+        if args.phi not in mf.maps:
+            known = ", ".join(sorted(mf.maps)) or "none defined"
+            raise _InputError(f"unknown map {args.phi!r} (have: {known})")
+        nr = _red.necessity_roundtrip(mf.system, mf.maps[args.phi],
+                                      n_points=args.numeric_samples)
+        report["necessity"] = {
+            "map": args.phi,
+            "candidate": to_str(nr.candidate.xi[0]),
+            "verified": nr.report.verified,
+            "max_abs_residual": nr.report.max_abs_residual,
+            "compatibility_satisfied":
+                None if nr.compatibility is None
+                else nr.compatibility.satisfied,
+            "classification": nr.classification,
+            "recovered_map": to_str(nr.recovered_map),
+            "derivative_matches": nr.derivative_matches,
+            "exact_match": nr.exact_match,
+        }
+        return nr.report.verified and nr.derivative_matches
 
-    try:
-        if args.phi is not None:
-            if args.phi not in mf.maps:
-                known = ", ".join(sorted(mf.maps)) or "none defined"
-                raise _InputError(f"unknown map {args.phi!r} (have: {known})")
-            nr = _red.necessity_roundtrip(mf.system, mf.maps[args.phi],
-                                          n_points=args.numeric_samples)
-            report["necessity"] = {
-                "map": args.phi,
-                "candidate": to_str(nr.candidate.xi[0]),
-                "verified": nr.report.verified,
-                "max_abs_residual": nr.report.max_abs_residual,
-                "compatibility_satisfied":
-                    None if nr.compatibility is None
-                    else nr.compatibility.satisfied,
-                "classification": nr.classification,
-                "recovered_map": to_str(nr.recovered_map),
-                "derivative_matches": nr.derivative_matches,
-                "exact_match": nr.exact_match,
-            }
-            return _finish(report,
-                           nr.report.verified and nr.derivative_matches,
-                           t_start, args)
-
-        if args.candidate is None:
-            raise _InputError("reduce needs --candidate NAME or --phi NAME")
-        picked = _pick_candidates(mf, args.candidate)
-        name, v = next(iter(picked.items()))
-        beta = _parse_beta(args.beta, mf) if args.beta is not None else None
-        r = _reduce_for(mf, name, v, beta, args.numeric_samples)
-        report["candidate"] = name
-        report["reduction"] = _reduction_entry(r)
-        return _finish(report, r.classification != _red.NOT_INTEGRABLE_FORM,
-                       t_start, args)
-    except (_red.ReductionError, NotElementaryError) as e:
-        report["error"] = str(e)
-        return _finish(report, False, t_start, args)
+    if args.candidate is None:
+        raise _InputError("reduce needs --candidate NAME or --phi NAME")
+    picked = _pick_candidates(mf, args.candidate)
+    name, v = next(iter(picked.items()))
+    beta = _parse_beta(args.beta, mf) if args.beta is not None else None
+    r = _reduce_for(mf, name, v, beta, args.numeric_samples)
+    report["candidate"] = name
+    report["reduction"] = _reduction_entry(r)
+    return r.classification != _red.NOT_INTEGRABLE_FORM
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
-def cmd_simulate(args) -> int:
-    t_start = time.monotonic()
-    mf, digest = _load(args.model)
+def cmd_simulate(args, mf: ModelFile, report: dict) -> bool:
     cfg = _sim_config(mf, args)
     ps = _num.simulate(mf.system, cfg)
     if args.out:
         _num.export_csv(ps, args.out)
     final = ps.states[ps.valid, -1, :]
     sanity = ps.increment_sanity()
-    return _finish({
-        "command": "simulate",
-        "model": args.model,
-        "model_hash": digest,
-        "out": args.out,
-        "numeric": {
-            "seed": cfg.seed,
-            "h": cfg.h,
-            "t0": cfg.t0,
-            "t1": cfg.t1,
-            "paths": cfg.paths,
-            "scheme": (cfg.scheme or
-                       (_num.EULER_MARUYAMA if mf.system.is_ito()
-                        else _num.STRATONOVICH_HEUN)),
-            "excluded_paths": ps.n_excluded,
-            "final_mean": [float(m) for m in final.mean(axis=0)],
-            "final_variance": [float(v) for v in final.var(axis=0)],
-            "increment_sanity": sanity,
-        },
-    }, bool(sanity["ok"]), t_start, args)
+    report["out"] = args.out
+    report["numeric"] = {
+        "seed": cfg.seed,
+        "h": cfg.h,
+        "t0": cfg.t0,
+        "t1": cfg.t1,
+        "paths": cfg.paths,
+        "scheme": (cfg.scheme or
+                   (_num.EULER_MARUYAMA if mf.system.is_ito()
+                    else _num.STRATONOVICH_HEUN)),
+        "excluded_paths": ps.n_excluded,
+        "final_mean": [float(m) for m in final.mean(axis=0)],
+        "final_variance": [float(v) for v in final.var(axis=0)],
+        "increment_sanity": sanity,
+    }
+    return bool(sanity["ok"])
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def cmd_verify(args) -> int:
-    t_start = time.monotonic()
-    mf, digest = _load(args.model)
+def cmd_verify(args, mf: ModelFile, report: dict) -> bool:
     if args.candidate is None:
         raise _InputError("verify needs --candidate NAME")
     picked = _pick_candidates(mf, args.candidate)
     name, v = next(iter(picked.items()))
-
-    report = {
-        "command": "verify",
-        "model": args.model,
-        "model_hash": digest,
-        "candidate": name,
-    }
+    report["candidate"] = name
     # symbolic gate at residual tolerance; --tol here bounds the pathwise gap
     symbolic = _check_one(mf.system, v, args.numeric_samples, 1e-9)
     report["symbolic"] = symbolic
     if not symbolic["verified"]:
-        return _finish(report, False, t_start, args)
+        return False
 
-    try:
-        beta = _parse_beta(args.beta, mf) if args.beta is not None else None
-        if beta is None and not classify(v).deterministic:
-            # a concrete map is needed for simulation: pin the free parts
-            beta = _red.FreeFunctionAnsatz(ZERO, ZERO)
-        red = _reduce_for(mf, name, v, beta, args.numeric_samples)
-        report["reduction"] = _reduction_entry(red)
-        if red.classification == _red.NOT_INTEGRABLE_FORM:
-            raise _red.ReductionError(
-                f"reduction along {name!r} is {red.classification}: the "
-                "reduced coefficients still involve the state, and the "
-                "path witnesses need the integrable or quadrature form")
-    except (_red.ReductionError, NotElementaryError) as e:
-        report["error"] = str(e)
-        return _finish(report, False, t_start, args)
+    beta = _parse_beta(args.beta, mf) if args.beta is not None else None
+    if beta is None and not classify(v).deterministic:
+        # a concrete map is needed for simulation: pin the free parts
+        beta = _red.FreeFunctionAnsatz(ZERO, ZERO)
+    red = _reduce_for(mf, name, v, beta, args.numeric_samples)
+    report["reduction"] = _reduction_entry(red)
+    if red.classification == _red.NOT_INTEGRABLE_FORM:
+        raise _red.ReductionError(
+            f"reduction along {name!r} is {red.classification}: the "
+            "reduced coefficients still involve the state, and the "
+            "path witnesses need the integrable or quadrature form")
 
     cfg = _sim_config(mf, args)
     ito_sys = as_ito(mf.system)
@@ -471,8 +425,7 @@ def cmd_verify(args) -> int:
             "degenerate": scaling.degenerate,
         },
     }
-    return _finish(report, bool(symbolic["verified"] and pathwise_ok),
-                   t_start, args)
+    return bool(symbolic["verified"] and pathwise_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -543,14 +496,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: load the model, let `cmd_<name>(args, mf, report)`
+    fill the report and return the verdict, then report and exit once.
+    A reduction that cannot be carried out is an `error` report with
+    verdict false (exit 1); unusable input and an output path that cannot
+    be written exit 2 with an `error:` line on stderr."""
+    args = _build_parser().parse_args(argv)
+    t_start = time.monotonic()
     try:
-        return args.fn(args)
+        if getattr(args, "numeric_samples", 1) < 1:
+            raise _InputError("--numeric-samples must be at least 1")
+        mf, digest = _load(args.model)
+        report = {"command": args.cmd, "model": args.model,
+                  "model_hash": digest}
+        try:
+            verdict = args.fn(args, mf, report)
+        except (_red.ReductionError, NotElementaryError) as e:
+            report["error"] = str(e)
+            verdict = False
+        return _finish(report, verdict, t_start, args)
     except (_InputError, ModelError, ExprSyntaxError, DomainError,
             _red.PreconditionError) as e:
         print(f"error: {e}", file=_sys.stderr)
-        return 2
+    except OSError as e:
+        print(f"error: cannot write {e.filename}: {e.strerror}",
+              file=_sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

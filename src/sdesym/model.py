@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from .expr import (
     Expr, ZERO, Domain, free_symbols, opaque_functions, simplify,
@@ -252,9 +251,9 @@ def _pop(items, key, default=None):
     return items.pop(key, (default, None))
 
 
-def _parse_here(text, lineno, functions=None):
+def _parse_here(text, lineno):
     try:
-        return parse(text, functions=functions)
+        return parse(text)
     except ExprSyntaxError as exc:
         raise ModelError(str(exc), lineno) from None
 

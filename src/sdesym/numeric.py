@@ -255,14 +255,24 @@ class PathwiseReport:
         return math.isfinite(self.median_sup_error)
 
 
-def _grid_env(ps: PathSet, time: str) -> dict:
+def _grid_env(ps: PathSet, time: str) -> tuple:
+    """Symbol values on the whole grid and at the step starts."""
     env = {time: ps.times[None, :]}
     for i, name in enumerate(ps.state_names):
         env[name] = ps.states[:, :, i]
     w = ps.wiener
     for k, name in enumerate(ps.noise_names):
         env[name] = w[:, :, k]
-    return env
+    return env, {k: v[:, :-1] for k, v in env.items()}
+
+
+def _euler_step(f, gs, dw, h, shape):
+    """f*h, then + g_k*dw_k for each noise k in turn; gs may be lazy, so
+    one coefficient is evaluated at a time."""
+    step = np.broadcast_to(f, shape) * h
+    for k, g in enumerate(gs):
+        step = step + np.broadcast_to(g, shape) * dw[:, :, k]
+    return step
 
 
 def _pathwise_error(ps: PathSet, reduced: TransformedSde, phi: Expr,
@@ -273,19 +283,12 @@ def _pathwise_error(ps: PathSet, reduced: TransformedSde, phi: Expr,
                          "quadrature form")
     paths, grid = ps.states.shape[0], ps.states.shape[1]
     with np.errstate(all="ignore"):
-        env = _grid_env(ps, time)
-        target = np.broadcast_to(compile_expr(phi)(env), (paths, grid)).copy()
-
-        left = {k: (v[:, :-1] if isinstance(v, np.ndarray) else v)
-                for k, v in env.items()}
-        left[time] = ps.times[None, :-1]
-        stepsum = np.broadcast_to(
-            compile_expr(reduced.drift[0])(left), (paths, grid - 1)
-        ) * ps.config.h
-        for k in range(ps.increments.shape[2]):
-            bk = np.broadcast_to(compile_expr(reduced.noise[0][k])(left),
-                                 (paths, grid - 1))
-            stepsum = stepsum + bk * ps.increments[:, :, k]
+        env, left = _grid_env(ps, time)
+        target = np.broadcast_to(compile_expr(phi)(env), (paths, grid))
+        stepsum = _euler_step(
+            compile_expr(reduced.drift[0])(left),
+            (compile_expr(b)(left) for b in reduced.noise[0]),
+            ps.increments, ps.config.h, (paths, grid - 1))
 
         x = np.empty((paths, grid))
         x[:, 0] = target[:, 0]
@@ -414,13 +417,10 @@ def epsilon_symmetry_scaling(sys: SdeSystem, v: VectorField,
         return add(*terms)
 
     with np.errstate(all="ignore"):
-        env = _grid_env(ps, sys.time)
-        xi_vals = [np.broadcast_to(compile_expr(v.xi[i])(env),
-                                   (paths, grid)).copy()
-                   for i in range(n)]
-        left = {k: (val[:, :-1] if isinstance(val, np.ndarray) else val)
-                for k, val in env.items()}
-        left[sys.time] = ps.times[None, :-1]
+        env, left = _grid_env(ps, sys.time)
+        xi_grid = np.stack([np.broadcast_to(compile_expr(xi)(env),
+                                            (paths, grid)) for xi in v.xi],
+                           axis=2)
         H = {}
         for i in range(n):
             for k in range(m):
@@ -435,18 +435,15 @@ def epsilon_symmetry_scaling(sys: SdeSystem, v: VectorField,
 
         defects = []
         for eps in epsilons:
-            mapped = ps.states + eps * np.stack(xi_vals, axis=2)
+            mapped = ps.states + eps * xi_grid
             menv = dict(left)
             for i, name in enumerate(sys.states):
                 menv[name] = mapped[:, :-1, i]
             total = np.zeros((paths, grid - 1))
             for i in range(n):
-                model = np.broadcast_to(drift_fns[i](menv),
-                                        (paths, grid - 1)) * h
-                for k in range(m):
-                    gk = np.broadcast_to(diff_fns[i][k](menv),
-                                         (paths, grid - 1))
-                    model = model + gk * dw[:, :, k]
+                model = _euler_step(drift_fns[i](menv),
+                                    (g(menv) for g in diff_fns[i]),
+                                    dw, h, (paths, grid - 1))
                 for k in range(m):
                     for l in range(m):
                         if H[i, k, l] is None:
@@ -485,22 +482,17 @@ def finite_difference(e: Expr, s: str, point: dict, step: float = 1e-6,
 
 def export_csv(ps: PathSet, fileobj) -> None:
     """Rows are (t, path, states..., cumulated noise...), one per grid
-    point per path, excluded paths included and left as nan."""
-    close = False
+    point per path, excluded paths included and left as nan.  Each path
+    is written as one block through a %.17g row template."""
     if isinstance(fileobj, str):
-        fileobj = open(fileobj, "w")
-        close = True
-    try:
-        header = ["t", "path", *ps.state_names, *ps.noise_names]
-        fileobj.write(",".join(header) + "\n")
-        w = ps.wiener
-        for p in range(ps.paths):
-            for g in range(ps.states.shape[1]):
-                row = [f"{ps.times[g]:.17g}", str(p)]
-                row += [f"{ps.states[p, g, i]:.17g}"
-                        for i in range(ps.states.shape[2])]
-                row += [f"{w[p, g, k]:.17g}" for k in range(w.shape[2])]
-                fileobj.write(",".join(row) + "\n")
-    finally:
-        if close:
-            fileobj.close()
+        with open(fileobj, "w") as f:
+            return export_csv(ps, f)
+    header = ["t", "path", *ps.state_names, *ps.noise_names]
+    fileobj.write(",".join(header) + "\n")
+    w = ps.wiener
+    grid = len(ps.times)
+    rows = (",".join(["%.17g"] * len(header)) + "\n") * grid
+    for p in range(ps.paths):
+        block = np.column_stack([ps.times, np.full(grid, p), ps.states[p],
+                                 w[p]])
+        fileobj.write(rows % tuple(block.ravel().tolist()))

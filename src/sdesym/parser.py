@@ -26,7 +26,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .expr import (
-    Expr, Num, Sym, ExprError, mul, pow_, prim, opaque, add, as_expr,
+    Expr, Sym, ExprError, mul, pow_, prim, opaque, add, as_expr,
     PRIMITIVES,
 )
 
@@ -102,61 +102,56 @@ class _Lexer:
         return tok
 
 
-def parse(text: str, *, functions=None) -> Expr:
-    """Parse `text` to a canonical expression tree.
-
-    `functions`, when given, is the set of allowed opaque function names;
-    any other applied identifier raises ExprSyntaxError.  Primitives are
-    always allowed.
-    """
+def parse(text: str) -> Expr:
+    """Parse `text` to a canonical expression tree."""
     lx = _Lexer(text)
-    e = _parse_expr(lx, functions)
+    e = _parse_expr(lx)
     kind, _, pos = lx.peek()
     if kind != "end":
         raise ExprSyntaxError("trailing input", text, pos)
     return e
 
 
-def _parse_expr(lx: _Lexer, functions) -> Expr:
-    e = _parse_term(lx, functions)
+def _parse_expr(lx: _Lexer) -> Expr:
+    e = _parse_term(lx)
     while lx.peek()[0] in ("+", "-"):
         op = lx.next()[0]
-        rhs = _parse_term(lx, functions)
+        rhs = _parse_term(lx)
         e = add(e, rhs) if op == "+" else add(e, mul(-1, rhs))
     return e
 
 
-def _parse_term(lx: _Lexer, functions) -> Expr:
-    e = _parse_unary(lx, functions)
+def _parse_term(lx: _Lexer) -> Expr:
+    e = _parse_unary(lx)
     while lx.peek()[0] in ("*", "/"):
         op = lx.next()[0]
-        rhs = _parse_unary(lx, functions)
+        rhs = _parse_unary(lx)
         e = mul(e, rhs) if op == "*" else mul(e, pow_(rhs, -1))
     return e
 
 
-def _parse_unary(lx: _Lexer, functions) -> Expr:
+def _parse_unary(lx: _Lexer) -> Expr:
     if lx.peek()[0] == "-":
         lx.next()
-        return mul(-1, _parse_unary(lx, functions))
-    return _parse_power(lx, functions)
+        return mul(-1, _parse_unary(lx))
+    return _parse_power(lx)
 
 
-def _parse_power(lx: _Lexer, functions) -> Expr:
-    base = _parse_atom(lx, functions)
+def _parse_power(lx: _Lexer) -> Expr:
+    base = _parse_atom(lx)
     if lx.peek()[0] == "^":
         lx.next()
-        exponent = _parse_unary(lx, functions)
+        exponent = _parse_unary(lx)
         return pow_(base, exponent)
     return base
 
 
-def _parse_atom(lx: _Lexer, functions) -> Expr:
+def _parse_atom(lx: _Lexer) -> Expr:
     kind, val, pos = lx.next()
     if kind == "num":
         return as_expr(Fraction(Decimal(val)))
     if kind == "(":
-        e = _parse_expr(lx, functions)
+        e = _parse_expr(lx)
         k2, _, p2 = lx.next()
         if k2 != ")":
             raise ExprSyntaxError("expected ')'", lx.text, p2)
@@ -165,7 +160,7 @@ def _parse_atom(lx: _Lexer, functions) -> Expr:
         name, ticks = val
         if lx.peek()[0] == "(":
             lx.next()
-            arg = _parse_expr(lx, functions)
+            arg = _parse_expr(lx)
             k2, _, p2 = lx.next()
             if k2 != ")":
                 raise ExprSyntaxError("expected ')'", lx.text, p2)
@@ -174,9 +169,6 @@ def _parse_atom(lx: _Lexer, functions) -> Expr:
                     raise ExprSyntaxError(
                         f"derivative tag on primitive {name!r}", lx.text, pos)
                 return prim(name, arg)
-            if functions is not None and name not in functions:
-                raise ExprSyntaxError(
-                    f"unknown function {name!r}", lx.text, pos)
             return opaque(name, ticks, arg)
         if ticks:
             raise ExprSyntaxError(

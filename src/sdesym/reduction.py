@@ -22,8 +22,8 @@ import numpy as np
 from .expr import (
     Expr, ZERO, ONE, Num, Sym, Domain,
     add, mul, pow_, opaque, differentiate, substitute, antiderivative,
-    equivalent, free_symbols, opaque_functions, contains, is_zero,
-    simplify, solve_for, sample_points, NotElementaryError, _evaluator,
+    equivalent, free_symbols, opaque_functions, is_zero,
+    simplify, solve_for, sample_points, _evaluator,
 )
 from .model import SdeSystem, VectorField, classify
 from .calculus import (
@@ -197,8 +197,7 @@ def straighten(phi: Expr, state: str, *, domain: Domain = None,
     _nonvanishing(phi, names, domain)
     the_map = antiderivative(pow_(phi, Num(Fraction(-1))), state)
     ident = mul(phi, differentiate(the_map, state))
-    if not (is_zero(add(ident, mul(-1, ONE)))
-            or equivalent(ident, ONE, domain)):
+    if not equivalent(ident, ONE, domain):
         raise ReductionError(
             "straightening identity phi * dPhi/dy == 1 failed for "
             f"phi = {phi}; the antiderivative is suspect")
@@ -256,7 +255,7 @@ def reduce_deterministic(sys: SdeSystem, v: VectorField, *,
                     time=sys.time, noises=sys.noises)
     tr = ito_change_of_variables(sys, st.map)
     push = mul(differentiate(st.map, sys.states[0]), v.xi[0])
-    push_ok = is_zero(add(push, mul(-1, ONE))) or equivalent(push, ONE, sys.domain)
+    push_ok = equivalent(push, ONE, sys.domain)
     return ReductionResult(st, tr, _classification(tr), report,
                            converted_from_stratonovich=was_strat,
                            pushforward_ok=push_ok)
@@ -305,9 +304,9 @@ def reduce_random(sys: SdeSystem, v: VectorField,
              mul(_HALF, d(ito_laplacian(full_map, sys), w)))
     conditions = (
         ConditionCheck("noise-coefficient-w-free", e1,
-                       is_zero(e1) or equivalent(e1, ZERO, sys.domain)),
+                       equivalent(e1, ZERO, sys.domain)),
         ConditionCheck("drift-coefficient-w-free", e2,
-                       is_zero(e2) or equivalent(e2, ZERO, sys.domain)),
+                       equivalent(e2, ZERO, sys.domain)),
     )
     compat = compatibility_check(sys, v.xi[0], sys.domain)
 
@@ -371,7 +370,7 @@ def necessity_roundtrip(sys: SdeSystem, the_map: Expr, *,
     st = straighten(phi, y, domain=sys.domain, time=sys.time,
                     noises=sys.noises)
     dmatch = equivalent(differentiate(st.map, y), dmap, sys.domain)
-    exact = st.map == the_map or equivalent(st.map, the_map, sys.domain)
+    exact = equivalent(st.map, the_map, sys.domain)
     return NecessityResult(v, report, compat, tr, _classification(tr),
                            st.map, dmatch, exact)
 
@@ -539,7 +538,7 @@ def _translation_targets(sys, gens, maps, bindings, hint):
                       for j, xj in enumerate(sys.states)])
             comps.append(substitute(p, bindings))
         hot = [i for i, p in enumerate(comps)
-               if not (is_zero(p) or equivalent(p, ZERO, sys.domain))]
+               if not equivalent(p, ZERO, sys.domain)]
         expect = None if hint is None else hint[a]
         if len(hot) != 1 or not equivalent(comps[hot[0]], ONE, sys.domain):
             raise HypothesisError(

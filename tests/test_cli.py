@@ -453,3 +453,32 @@ def test_stdout_matches_report_file(tmp_path, capsys):
     assert code == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed == rep
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "example1.sde", "--report", "OUT"],
+    ["simulate", "example1.sde", "--paths", "2", "--h", "0.25",
+     "--out", "OUT"],
+    ["convert", "example1.sde", "--to", STRATONOVICH, "--out", "OUT"],
+])
+def test_unwritable_output_path_is_input_error(tmp_path, capsys, argv):
+    out = tmp_path / "absent" / "out.txt"
+    argv = [fixture_path(a) if a.endswith(".sde") else
+            str(out) if a == "OUT" else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("command", ["check", "reduce", "verify"])
+def test_numeric_samples_below_one_is_input_error(tmp_path, capsys, command,
+                                                  samples):
+    code, rep = run_cli([command, fixture_path("control.sde"),
+                         "--candidate", "NOT_SYM",
+                         "--numeric-samples", samples], tmp_path)
+    assert code == 2
+    assert rep is None
+    assert ("error: --numeric-samples must be at least 1"
+            in capsys.readouterr().err)
