@@ -519,8 +519,7 @@ def main(argv=None) -> int:
             _red.PreconditionError) as e:
         print(f"error: {e}", file=_sys.stderr)
     except OSError as e:
-        print(f"error: cannot write {e.filename}: {e.strerror}",
-              file=_sys.stderr)
+        print(f"error: cannot write output: {e}", file=_sys.stderr)
     return 2
 
 

@@ -467,7 +467,7 @@ def test_unwritable_output_path_is_input_error(tmp_path, capsys, argv):
             str(out) if a == "OUT" else a for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"error: cannot write {out}" in err
+    assert "error: cannot write output:" in err and str(out) in err
     assert "Traceback" not in err
 
 
