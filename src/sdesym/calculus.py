@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .expr import (
     Expr, ZERO, Num, Sym, add, mul, differentiate, substitute, contains,
-    free_symbols, is_zero,
+    free_symbols, is_zero, expand_powers, equivalent,
 )
 from .model import SdeSystem, VectorField, ITO, STRATONOVICH
 
@@ -30,7 +30,7 @@ __all__ = [
     "ito_laplacian", "drift_correction", "ito_to_stratonovich",
     "stratonovich_to_ito", "ito_differential", "ito_change_of_variables",
     "change_of_variables", "infinitesimal_map_residuals", "TransformedSde",
-    "InterpretationError",
+    "InterpretationError", "pin_independent",
 ]
 
 _HALF = Num(Fraction(1, 2))
@@ -123,8 +123,10 @@ def ito_differential(u: Expr, sys: SdeSystem):
 @dataclass(frozen=True)
 class TransformedSde:
     """Coefficients of the transformed equation, written in the original
-    variables.  When `state_free` holds they are functions of (t, w) alone
-    and can be read directly as the coefficients in the new variable."""
+    variables, with the symbols they do not depend on set to a domain
+    point (`pin_independent`).  When `state_free` holds they are
+    functions of (t, w) alone and can be read directly as the
+    coefficients in the new variable."""
     maps: tuple            # new variables as expressions in the old ones
     drift: tuple           # drift[i]
     noise: tuple           # noise[i][k]
@@ -136,6 +138,31 @@ class TransformedSde:
         # integrable-by-Ito form: coefficients do not involve the state or
         # the driving noises
         return self.state_free and self.noise_free
+
+
+def pin_independent(exprs, sys: SdeSystem) -> tuple:
+    """The expressions with powers of sums multiplied out and each state
+    or noise symbol s they do not depend on, judged by
+    `equivalent(de/ds, 0)` on the system's domain, set to the exact
+    midpoint of its range.  The constructors never put terms over a
+    common denominator (the drift of the map y + y^3 equals a function
+    of t, yet keeps y in its tree); after this, free symbols name the
+    dependence."""
+    names = sys.states + sys.noises
+    out = []
+    for e in exprs:
+        expanded = expand_powers(e)
+        # the derivative of the compact form is the cheaper one to sample
+        pins = {s: _midpoint(sys.domain.range_for(s)) for s in names
+                if contains(expanded, s)
+                and equivalent(differentiate(e, s), ZERO, sys.domain)}
+        out.append(substitute(expanded, pins) if pins else expanded)
+    return tuple(out)
+
+
+def _midpoint(bounds) -> Num:
+    lo, hi = (Fraction(str(b)) for b in bounds)
+    return Num((lo + hi) / 2)
 
 
 def _dependence(exprs, sys: SdeSystem):
@@ -156,8 +183,10 @@ def ito_change_of_variables(sys: SdeSystem, phi: Expr) -> TransformedSde:
     if sys.n != 1:
         raise ValueError("scalar change of variables needs a 1-state system")
     drift, noise = ito_differential(phi, sys)
-    state_free, noise_free = _dependence((drift,) + noise, sys)
-    return TransformedSde((phi,), (drift,), (noise,), state_free, noise_free)
+    coeffs = pin_independent((drift,) + noise, sys)
+    state_free, noise_free = _dependence(coeffs, sys)
+    return TransformedSde((phi,), coeffs[:1], (coeffs[1:],), state_free,
+                          noise_free)
 
 
 def change_of_variables(sys: SdeSystem, maps) -> TransformedSde:
@@ -176,8 +205,9 @@ def change_of_variables(sys: SdeSystem, maps) -> TransformedSde:
     noise = []
     for Z in maps:
         d, s = ito_differential(Z, sys)
-        drift.append(d)
-        noise.append(s)
+        coeffs = pin_independent((d,) + s, sys)
+        drift.append(coeffs[0])
+        noise.append(coeffs[1:])
     state_free, noise_free = _dependence(
         tuple(drift) + tuple(x for row in noise for x in row), sys)
     return TransformedSde(maps, tuple(drift), tuple(noise),

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys as _sys
 import time
@@ -145,7 +146,9 @@ def _finish(report: dict, verdict: bool, t_start: float, args) -> int:
     (if given), print it, and return the exit code: 0 verified, 1 not."""
     report["verdict"] = verdict
     report["wall_time_s"] = round(time.monotonic() - t_start, 3)
-    text = json.dumps(report, indent=2, sort_keys=True)
+    # strict JSON has no NaN or Infinity: non-finite numbers become null
+    report = json.loads(json.dumps(report), parse_constant=lambda _: None)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.report:
         with open(args.report, "w") as f:
             f.write(text + "\n")
@@ -337,6 +340,9 @@ def cmd_simulate(args, mf: ModelFile, report: dict) -> bool:
     if args.out:
         _num.export_csv(ps, args.out)
     final = ps.states[ps.valid, -1, :]
+    # with every path excluded there are no statistics (null in the report)
+    mean, var = ((final.mean(axis=0), final.var(axis=0)) if len(final)
+                 else ([math.nan] * mf.system.n,) * 2)
     sanity = ps.increment_sanity()
     report["out"] = args.out
     report["numeric"] = {
@@ -349,11 +355,11 @@ def cmd_simulate(args, mf: ModelFile, report: dict) -> bool:
                    (_num.EULER_MARUYAMA if mf.system.is_ito()
                     else _num.STRATONOVICH_HEUN)),
         "excluded_paths": ps.n_excluded,
-        "final_mean": [float(m) for m in final.mean(axis=0)],
-        "final_variance": [float(v) for v in final.var(axis=0)],
+        "final_mean": [float(m) for m in mean],
+        "final_variance": [float(v) for v in var],
         "increment_sanity": sanity,
     }
-    return bool(sanity["ok"])
+    return bool(sanity["ok"]) and ps.n_excluded < cfg.paths
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +512,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "numeric_samples", 1) < 1:
             raise _InputError("--numeric-samples must be at least 1")
+        if not 0 <= getattr(args, "tol", 0) < math.inf:
+            raise _InputError("--tol must be a finite number of at least 0")
         mf, digest = _load(args.model)
         report = {"command": args.cmd, "model": args.model,
                   "model_hash": digest}

@@ -1,16 +1,19 @@
 """Small symbolic-expression core.
 
-Expression trees are immutable and canonical by construction: sums and
-products are flattened, numeric parts folded (exactly, as rationals, whenever
-the inputs are rational), like terms combined, integer powers of sums
-expanded, and siblings ordered by a fixed total order on nodes.  Structural
-equality of two canonical trees therefore implies numerical equality, and a
-good deal of algebra (e.g. residuals of determining equations) collapses to
-the literal zero without any extra simplification pass.
+Expression trees are immutable, and the constructors keep them in one
+shape: sums and products are flattened, numeric parts folded (exactly, as
+rationals, whenever the inputs are rational and an exact power stays below
+a fixed size), like terms combined, products distributed over sums, and
+siblings ordered by a fixed total order on nodes.  A power of a sum stays a
+power.  Equal trees are therefore equal functions, but unequal trees may
+still be equal functions: (1+y)^2 and 1 + 2*y + y^2 are two trees, and so
+are a sum of fractions and its value over a common denominator.
+`expand_powers` multiplies out powers of sums once, where a caller wants
+the like terms of a finished expression to meet.
 
-Equality that does not hold structurally can still be checked numerically
-with `equivalent`, which samples points from a validity box and instantiates
-opaque function symbols with random polynomial test functions.
+`equivalent` is the judge of equality as functions: it samples points from
+a validity box and instantiates opaque function symbols with random
+polynomial test functions.
 
 There is one numeric evaluator, numpy code generated from the tree; a
 sampled check evaluates all its points in one call, and `evaluate` is that
@@ -30,7 +33,8 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Sym", "Add", "Mul", "Pow", "Prim", "Opaque",
     "ZERO", "ONE", "as_expr", "num", "sym", "add", "mul", "pow_", "prim",
-    "opaque", "simplify", "free_symbols", "opaque_functions", "contains",
+    "opaque", "simplify", "expand_powers", "free_symbols",
+    "opaque_functions", "contains",
     "differentiate", "substitute", "replace_subexpr", "instantiate_opaque",
     "solve_for", "antiderivative", "evaluate", "compile_expr", "to_str",
     "EvalPoint", "PolyTestFunction", "Domain", "equivalent",
@@ -393,9 +397,6 @@ def _product(lists):
             yield (x,) + combo
 
 
-_EXPAND_LIMIT = 12  # largest integer power of a sum that gets expanded
-
-
 def pow_(base, exponent) -> Expr:
     base = as_expr(base)
     e = as_expr(exponent)
@@ -438,16 +439,6 @@ def pow_(base, exponent) -> Expr:
         if content is not None:
             peeled = add(*[mul(t, pow_(content, _NEG_ONE)) for t in base.terms])
             return mul(pow_(content, e), pow_(peeled, e))
-        n = e.value.numerator
-        if 2 <= n <= _EXPAND_LIMIT:
-            out = base
-            for _ in range(n - 1):
-                out = mul(out, base)
-            return out
-        if -_EXPAND_LIMIT <= n <= -2:
-            # one canonical shape for reciprocals of sum powers:
-            # (1+y)^-2 and 1/(1+y)^2 both become (1+2y+y^2)^-1
-            return pow_(pow_(base, Num(Fraction(-n))), _NEG_ONE)
 
     return Pow(base, e)
 
@@ -495,13 +486,22 @@ def _common_monomial(e: Add):
     return mul(*factors)
 
 
+_FOLD_BITS = 4096  # exact powers fold only while numerator and
+                  # denominator stay this small (7^6000 stays symbolic)
+
+
 def _fold_pow(b, e):
     """Fold a numeric power, or return None to keep it symbolic.
 
     Exact inputs fold only when the result is exact (integer exponent or an
-    exact rational root); 2^(1/2) stays symbolic rather than decaying to a
-    float.  Float inputs are already inexact and fold through math.pow.
+    exact rational root) and no larger than _FOLD_BITS bits; 2^(1/2) stays
+    symbolic rather than decaying to a float.  Float inputs are already
+    inexact and fold through math.pow.
     """
+    if isinstance(b, Fraction) and isinstance(e, Fraction):
+        size = math.log2(max(abs(b.numerator), b.denominator))
+        if size * abs(e.numerator) > _FOLD_BITS * e.denominator:
+            return None
     if isinstance(e, Fraction) and e.denominator == 1 and not isinstance(b, float):
         n = e.numerator
         if n >= 0:
@@ -529,7 +529,10 @@ def _exact_root(b: Fraction, e: Fraction):
     def iroot(n):
         if n == 0:
             return 0
-        r = round(n ** (1.0 / q))
+        try:
+            r = round(n ** (1.0 / q))
+        except OverflowError:     # beyond the float range: keep symbolic
+            return None
         for cand in (r - 1, r, r + 1):
             if cand >= 0 and cand ** q == n:
                 return cand
@@ -605,6 +608,55 @@ def simplify(e: Expr) -> Expr:
     point for trees assembled by hand from raw node constructors.
     """
     return _rebuild(e, lambda x: None)
+
+
+_EXPAND_LIMIT = 12  # largest power of a sum that expand_powers multiplies out
+
+
+def expand_powers(e: Expr) -> Expr:
+    """Multiply out the integer powers 2..12 of sums, innermost first.
+
+    A reciprocal power becomes the reciprocal of the multiplied-out
+    power: (1+y)^-2 turns into (1+2*y+y^2)^-1.  The constructors leave
+    powers of sums alone; expanding once lets like terms of a finished
+    expression meet and cancel.  Subtrees holding no such power are kept
+    as they are, not rebuilt.
+    """
+    hot = set()     # ids of the subtrees that hold a power to multiply out
+
+    def mark(x) -> bool:
+        found = _sum_power(x) != 0
+        for c in _children(x):
+            found = mark(c) or found
+        if found:
+            hot.add(id(x))
+        return found
+
+    def visit(x):
+        if id(x) not in hot:
+            return x
+        n = _sum_power(x)
+        if not n:
+            return None
+        base = _rebuild(x.base, visit)
+        if not isinstance(base, Add):
+            return pow_(base, x.exponent)
+        out = base
+        for _ in range(abs(n) - 1):
+            out = mul(out, base)
+        return out if n > 0 else pow_(out, _NEG_ONE)
+
+    mark(e)
+    return _rebuild(e, visit)
+
+
+def _sum_power(x: Expr) -> int:
+    """n when x is a sum to an integer power n with 2 <= |n| <= 12, else 0."""
+    if isinstance(x, Pow) and isinstance(x.base, Add) and _is_int(x.exponent):
+        n = x.exponent.value.numerator
+        if 2 <= abs(n) <= _EXPAND_LIMIT:
+            return n
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -789,9 +841,17 @@ def antiderivative(e: Expr, s: str) -> Expr:
     generally, of subexpressions with `s`-free derivative), exp/sin/cos of
     such subexpressions, 1/u -> log u, plus a single generic substitution
     step u = g(s) when the cofactor of g'(s) is expressible in u alone.
-    Raises NotElementaryError otherwise.
+    The rules are tried on e with its powers of sums multiplied out, then
+    on e as given.  Raises NotElementaryError when neither applies.
     """
-    return _antider(simplify(e), s, usub=True)
+    given = simplify(e)
+    expanded = expand_powers(given)
+    try:
+        return _antider(expanded, s, usub=True)
+    except NotElementaryError:
+        if expanded is given:
+            raise
+        return _antider(given, s, usub=True)
 
 
 def _antider(e: Expr, s: str, usub: bool) -> Expr:
@@ -1339,8 +1399,8 @@ def _fmt_mul(e: Mul):
 
 
 def _flip_pow(e: Pow) -> Expr:
-    # raw node, not pow_: re-canonicalizing could expand integer powers of
-    # sums and break the parse/print round trip
+    # raw node, not pow_: the printer shows the tree it was given and
+    # builds nothing through the constructors
     v = e.exponent.value
     if v == -1:
         return e.base

@@ -28,7 +28,7 @@ from .expr import (
 from .model import SdeSystem, VectorField, classify
 from .calculus import (
     as_ito, ito_laplacian, ito_change_of_variables, change_of_variables,
-    TransformedSde,
+    pin_independent, TransformedSde,
 )
 from .symmetry import (
     SymmetryReport, CompatibilityData, SolvabilityResult,
@@ -457,25 +457,24 @@ def reduce_system_solvable(sys: SdeSystem, generators, adapted_coords=None,
     # which coordinate each generator translates, after the map
     recon_idx = _translation_targets(sys, gens, maps, bindings, targets)
 
-    new_drift = tuple(substitute(e, bindings) for e in tr.drift)
-    new_noise = tuple(tuple(substitute(e, bindings) for e in row)
-                      for row in tr.noise)
+    new_drift = pin_independent(
+        tuple(substitute(e, bindings) for e in tr.drift), sys)
+    new_noise = tuple(
+        pin_independent(tuple(substitute(e, bindings) for e in row), sys)
+        for row in tr.noise)
 
     kept = tuple(i for i in range(sys.n) if i not in recon_idx)
     recon_names = tuple(sys.states[i] for i in recon_idx)
     kept_names = tuple(sys.states[i] for i in kept)
 
     for i in kept:
-        exprs = (new_drift[i],) + tuple(new_noise[i])
-        for e in exprs:
-            bad = free_symbols(e) & set(recon_names)
-            if bad and not all(
-                    equivalent(differentiate(e, z), ZERO, sys.domain)
-                    for z in bad):
-                raise HypothesisError(
-                    "closure",
-                    f"reduced equation for {sys.states[i]} does not close: "
-                    f"it still depends on {sorted(bad)}")
+        bad = set(recon_names) & free_symbols(new_drift[i]).union(
+            *map(free_symbols, new_noise[i]))
+        if bad:
+            raise HypothesisError(
+                "closure",
+                f"reduced equation for {sys.states[i]} does not close: "
+                f"it still depends on {sorted(bad)}")
 
     order = _reconstruction_order(sys, new_drift, new_noise, recon_idx,
                                   kept_names)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .expr import (
     Expr, ZERO, Num, EvalPoint, Domain, EvaluationError, add, mul, pow_,
-    differentiate, evaluate, is_zero, sample_points, vanishes_on_domain,
-    _evaluator,
+    differentiate, evaluate, expand_powers, is_zero, sample_points,
+    vanishes_on_domain, _evaluator,
 )
 from .model import SdeSystem, VectorField, Classification, classify, ITO, STRATONOVICH
 from .calculus import ito_laplacian, drift_correction, InterpretationError, _require
@@ -72,6 +72,11 @@ def _check_simple(v: VectorField):
 
 
 def _report(route, cls, drift_res, noise_res, domain, n_points) -> SymmetryReport:
+    # multiplied out once, a residual of a true symmetry mostly collapses
+    # to the literal zero, which needs no sampling and prints as 0
+    drift_res = tuple(map(expand_powers, drift_res))
+    noise_res = tuple(tuple(map(expand_powers, row)) for row in noise_res)
+
     def check(r):
         return vanishes_on_domain(r, domain, n_points=n_points)
     drift = [check(r) for r in drift_res]
@@ -186,12 +191,12 @@ def compatibility_check(sys: SdeSystem, phi: Expr, domain: Domain = None,
     F, S = sys.drift[0], sys.diffusion[0][0]
     gamma = differentiate(pow_(phi, Num(Fraction(-1))), w)
     d = differentiate
-    residual = add(
+    residual = expand_powers(add(
         mul(S, d(gamma, t)),
         mul(d(S, t), gamma),
         mul(-1, F, d(gamma, w)),
         mul(Num(Fraction(-1, 2)), S, d(d(gamma, w), w)),
-        mul(Num(Fraction(-1, 2)), S, S, d(d(gamma, y), w)))
+        mul(Num(Fraction(-1, 2)), S, S, d(d(gamma, y), w))))
     ok, worst = vanishes_on_domain(residual, domain, n_points=n_points)
     return CompatibilityData(gamma, residual, ok, worst)
 

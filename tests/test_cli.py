@@ -4,6 +4,7 @@ Exit code contract: 0 = verified / success, 1 = an honest negative
 verdict, 2 = unusable input (bad file, unknown names, malformed flags).
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -11,7 +12,9 @@ import pytest
 from sdesym import (
     ITO, STRATONOVICH, equivalent, fixture_path, load_model, parse,
 )
+from sdesym import cli
 from sdesym.cli import main
+from sdesym.expr import _size
 from tests.conftest import run_cli
 
 
@@ -251,6 +254,24 @@ def test_simulate_exports_csv(tmp_path):
     assert len(lines) == 1 + 5 * 51
 
 
+def test_simulate_with_every_path_excluded_is_false(tmp_path, capsys):
+    code, rep = run_cli(["simulate", fixture_path("example1.sde"),
+                         "--x0", "nan", "--paths", "3", "--h", "0.25"],
+                        tmp_path)
+    out, err = capsys.readouterr()
+
+    def reject(name):
+        raise AssertionError(f"bare {name} in the report")
+
+    assert json.loads(out, parse_constant=reject) == rep
+    assert code == 1
+    assert rep["verdict"] is False
+    assert rep["numeric"]["excluded_paths"] == 3
+    assert rep["numeric"]["final_mean"] == [None]
+    assert rep["numeric"]["final_variance"] == [None]
+    assert "Warning" not in err
+
+
 def test_simulate_seed_sources(tmp_path, monkeypatch):
     monkeypatch.setenv("SDESYM_SEED", "123")
     _, rep = run_cli(["simulate", fixture_path("example1.sde"),
@@ -340,10 +361,10 @@ def test_verify_tol_bounds_the_pathwise_gap(tmp_path):
     assert rep["numeric"]["pathwise"]["ok"] is False
 
 
-# the map x = y + y^3 pulled back from dx = dt + (1 + t) dw: the program
-# classifies its reduction as NotIntegrableForm (the reduced drift keeps
-# uncombined fractions in y), so there is no reduced equation to integrate
-_NOT_INTEGRABLE_FORM_MODEL = """
+# the map x = y + y^3 pulled back from dx = dt + (1 + t) dw: XI is a
+# verified symmetry and the reduction reaches dx = dt + (1 + t) dw, although
+# the constructors leave the reduced drift a sum of uncombined fractions in y
+_CUBIC_MAP_MODEL = """
 [system]
 interpretation = ito
 states = y
@@ -357,9 +378,97 @@ xi.1 = 1/(1 + 3*y^2)
 """
 
 
-def test_verify_not_integrable_form_is_error_report(tmp_path):
+# the map x = y + exp(y) pulled back from the same equation
+_EXP_MAP_MODEL = _CUBIC_MAP_MODEL.replace("6*y", "exp(y)").replace(
+    "3*y^2", "exp(y)")
+
+
+# with the state set to a point of its range, the cubic map's coefficients
+# fold exactly; the exp map's keep exp of that point
+@pytest.mark.parametrize("text,printed", [
+    (_CUBIC_MAP_MODEL, ("1", ["1 + t"])), (_EXP_MAP_MODEL, None)],
+    ids=["cubic", "exp"])
+def test_reduce_map_model_is_integrable_ito(tmp_path, text, printed):
+    path = tmp_path / "map.sde"
+    path.write_text(text)
+    code, rep = run_cli(["reduce", str(path), "--candidate", "XI"], tmp_path)
+    assert code == 0
+    red = rep["reduction"]
+    assert red["classification"] == "IntegrableIto"
+    (noise,) = red["noise"]
+    assert equivalent(parse(red["drift"]), parse("1"))
+    assert equivalent(parse(noise), parse("1 + t"))
+    if printed is not None:
+        assert (red["drift"], red["noise"]) == printed
+
+
+@pytest.mark.parametrize("text", [_CUBIC_MAP_MODEL, _EXP_MAP_MODEL],
+                         ids=["cubic", "exp"])
+def test_verify_map_model(tmp_path, text):
+    path = tmp_path / "map.sde"
+    path.write_text(text)
+    code, rep = run_cli(["verify", str(path), "--candidate", "XI"], tmp_path)
+    assert code == 0
+    assert rep["verdict"] is True
+    assert rep["reduction"]["classification"] == "IntegrableIto"
+
+
+# dy = y dt + y dw has the first integral I = log(y) - t/2 - w, and
+# X = y*I^2 d/dy is a random symmetry; multiplying out the powers of I
+# inside the algebra makes every expression of check and reduce, and
+# their time, grow super-linearly with the candidate
+_FIRST_INTEGRAL_MODEL = """
+[system]
+interpretation = ito
+states = y
+noises = w
+drift.1 = y
+diffusion.1.1 = y
+domain.y = 1.5, 2.5
+domain.w = -0.5, 0.5
+
+[candidate X]
+xi.1 = y*(log(y) - t + t/2 - w)^2
+"""
+
+
+def test_first_integral_model_expressions_stay_small(tmp_path):
+    path = tmp_path / "integral.sde"
+    path.write_text(_FIRST_INTEGRAL_MODEL)
+    code, rep = run_cli(["check", str(path)], tmp_path)
+    assert code == 0
+    entry = rep["candidates"]["X"]
+    assert entry["verified"] is True
+    printed = [entry["compatibility"]["gamma"],
+               entry["compatibility"]["residual"]]
+    for route in entry["routes"].values():
+        printed += route["drift_residuals"]
+        printed += [r for row in route["diffusion_residuals"] for r in row]
+
+    code, rep = run_cli(["reduce", str(path), "--candidate", "X",
+                         "--beta", "b=0,c=1"], tmp_path)
+    assert code == 0
+    red = rep["reduction"]
+    assert red["classification"] == "IntegrableIto"
+    printed += [red["map"], red["drift"], *red["noise"],
+                red["compatibility"]["residual"],
+                *(c["residual"] for c in red["conditions"].values())]
+    assert max(_size(parse(p)) for p in printed) <= 64
+
+
+def test_verify_not_integrable_form_is_error_report(tmp_path, monkeypatch):
+    # a verified symmetry always straightens to an integrable form (Kozlov),
+    # so NotIntegrableForm here means two sampled verdicts disagree; force
+    # that disagreement through the reduction seam
+    real = cli._reduce_for
+
+    def disagreeing(*args):
+        return dataclasses.replace(real(*args),
+                                   classification="NotIntegrableForm")
+
+    monkeypatch.setattr(cli, "_reduce_for", disagreeing)
     path = tmp_path / "cubic.sde"
-    path.write_text(_NOT_INTEGRABLE_FORM_MODEL)
+    path.write_text(_CUBIC_MAP_MODEL)
     code, rep = run_cli(["verify", str(path), "--candidate", "XI"], tmp_path)
     assert code == 1
     assert rep["verdict"] is False
@@ -397,12 +506,13 @@ def test_verify_needs_candidate(tmp_path, capsys):
     assert "needs --candidate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("xi", ["log(-y)", "y + 10^400"])
+@pytest.mark.parametrize("xi", ["log(-y)", "y + 10^400", "y + 7^6000"])
 @pytest.mark.parametrize("command", ["check", "reduce", "verify"])
 def test_candidate_without_evaluable_points_is_input_error(
         tmp_path, capsys, command, xi):
     # log(-y) has no point of the box in its domain, and 10^400 is inf in
-    # floating point: no sample point is accepted
+    # floating point (7^6000 stays a symbolic power, inf too): no sample
+    # point is accepted
     text = open(fixture_path("example1.sde")).read()
     path = tmp_path / "bad.sde"
     path.write_text(text.replace("xi.1 = exp(-y)", f"xi.1 = {xi}"))
@@ -469,6 +579,17 @@ def test_unwritable_output_path_is_input_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error: cannot write output:" in err and str(out) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_unusable_tol_is_input_error(tmp_path, capsys, command, tol):
+    code, rep = run_cli([command, fixture_path("example1.sde"),
+                         "--candidate", "X1", "--tol", tol], tmp_path)
+    assert code == 2
+    assert rep is None
+    assert ("error: --tol must be a finite number of at least 0"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

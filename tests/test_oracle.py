@@ -14,7 +14,8 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from sdesym import (  # noqa: E402
-    Add, Domain, EvalPoint, Mul, Num, Pow, Prim, Sym, equivalent, evaluate,
+    Add, Domain, EvalPoint, Mul, NotElementaryError, Num, Pow, Prim, Sym,
+    antiderivative, differentiate, equivalent, evaluate, parse, to_str,
 )
 from sdesym.expr import add, mul, num, pow_, prim  # noqa: E402
 
@@ -99,7 +100,8 @@ def pairs(draw):
     kind = draw(st.sampled_from(("power", "sqrt", "logistic", "poly")))
     p = _poly(draw(st.lists(small, min_size=4, max_size=4)))
     if kind == "power":
-        # (1 + c y)^13 stays a power, (1 + c y)^12 (1 + c y) is expanded
+        # (1 + c y)^13 against (1 + c y)^12 (1 + c y), which mul
+        # distributes over the sum
         c = num(draw(st.fractions(min_value=Fraction(1, 4),
                                   max_value=Fraction(1, 2),
                                   max_denominator=4)))
@@ -131,3 +133,28 @@ def test_equivalent_agrees_with_sympy_simplify(pair):
     a, b = pair
     zero = sympy.simplify(to_sympy(a) - to_sympy(b)) == 0
     assert equivalent(a, b, BOX) is zero
+
+
+# integer powers of sums: the constructors keep them as Pow nodes, so the
+# printer meets them anywhere in a tree
+sum_powers = st.builds(lambda a, b, n: pow_(add(a, b), num(n)), trees, trees,
+                       st.sampled_from((-3, -2, -1, 2, 3, 4)))
+printable_trees = st.recursive(st.one_of(symbols, rationals, sum_powers),
+                               _grow, max_leaves=12)
+
+
+@SETTINGS
+@given(printable_trees, sum_powers, st.sampled_from((add, mul)))
+def test_parse_inverts_to_str(tree, power, op):
+    e = op(tree, power)
+    assert parse(to_str(e)) == e
+
+
+@SETTINGS
+@given(trees, st.sampled_from(NAMES))
+def test_antiderivative_differentiates_back(e, s):
+    try:
+        big = antiderivative(e, s)
+    except NotElementaryError:
+        hypothesis.assume(False)
+    assert equivalent(differentiate(big, s), e, BOX)
