@@ -38,6 +38,8 @@ from . import numeric as _num
 __all__ = ["main"]
 
 _ENV_SEED = "SDESYM_SEED"
+# one sampling round holds one point dict per sample: bound its size
+_MAX_SAMPLES = 100_000
 
 
 class _InputError(Exception):
@@ -80,22 +82,15 @@ def _seed(args) -> int:
 
 
 def _sim_config(mf: ModelFile, args) -> _num.SimulationConfig:
-    sim = dict(mf.simulation)
+    """The model's [simulation] block, overridden by the flags given; the
+    SimulationConfig defaults fill the rest, except x0, which defaults to
+    one 1.0 per state."""
     n = mf.system.n
-    cfg = {
-        "t0": sim.get("t0", 0.0),
-        "t1": sim.get("t1", 1.0),
-        "h": sim.get("h", 1e-3),
-        "x0": sim.get("x0", tuple([1.0] * n)),
-        "paths": sim.get("paths", 100),
-        "seed": _seed(args),
-    }
-    for key in ("t0", "t1", "h"):
+    cfg = {"x0": tuple([1.0] * n), **mf.simulation, "seed": _seed(args)}
+    for key in ("t0", "t1", "h", "paths"):
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
-    if getattr(args, "paths", None) is not None:
-        cfg["paths"] = args.paths
     if getattr(args, "x0", None) is not None:
         parts = [p.strip() for p in args.x0.split(",")]
         if len(parts) != n:
@@ -104,8 +99,6 @@ def _sim_config(mf: ModelFile, args) -> _num.SimulationConfig:
             cfg["x0"] = tuple(float(p) for p in parts)
         except ValueError:
             raise _InputError(f"--x0 components must be numbers: {args.x0!r}")
-    if getattr(args, "scheme", None) is not None:
-        cfg["scheme"] = args.scheme
     try:
         return _num.SimulationConfig(**cfg)
     except ValueError as e:
@@ -351,9 +344,7 @@ def cmd_simulate(args, mf: ModelFile, report: dict) -> bool:
         "t0": cfg.t0,
         "t1": cfg.t1,
         "paths": cfg.paths,
-        "scheme": (cfg.scheme or
-                   (_num.EULER_MARUYAMA if mf.system.is_ito()
-                    else _num.STRATONOVICH_HEUN)),
+        "scheme": ps.scheme,
         "excluded_paths": ps.n_excluded,
         "final_mean": [float(m) for m in mean],
         "final_variance": [float(v) for v in var],
@@ -377,10 +368,12 @@ def cmd_verify(args, mf: ModelFile, report: dict) -> bool:
     if not symbolic["verified"]:
         return False
 
-    beta = _parse_beta(args.beta, mf) if args.beta is not None else None
-    if beta is None and not classify(v).deterministic:
-        # a concrete map is needed for simulation: pin the free parts
-        beta = _red.FreeFunctionAnsatz(ZERO, ZERO)
+    beta = None
+    if args.beta is not None or not classify(v).deterministic:
+        # a concrete map is needed for simulation: unset parts of beta are 0
+        given = _parse_beta(args.beta or "", mf)
+        beta = _red.FreeFunctionAnsatz(*(ZERO if e is None else e
+                                         for e in (given.b, given.c)))
     red = _reduce_for(mf, name, v, beta, args.numeric_samples)
     report["reduction"] = _reduction_entry(red)
     if red.classification == _red.NOT_INTEGRABLE_FORM:
@@ -463,9 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t1", type=float, help="end time")
         p.add_argument("--x0", metavar="A,B,...", help="initial state")
         p.add_argument("--paths", type=int, help="number of paths")
-        p.add_argument("--scheme",
-                       choices=[_num.EULER_MARUYAMA, _num.STRATONOVICH_HEUN],
-                       help="integration scheme (derived when omitted)")
 
     p = sub.add_parser("check", help="run the determining equations")
     common(p); symbolic_flags(p)
@@ -512,6 +502,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "numeric_samples", 1) < 1:
             raise _InputError("--numeric-samples must be at least 1")
+        if getattr(args, "numeric_samples", 1) > _MAX_SAMPLES:
+            raise _InputError(
+                f"--numeric-samples must be at most {_MAX_SAMPLES}")
         if not 0 <= getattr(args, "tol", 0) < math.inf:
             raise _InputError("--tol must be a finite number of at least 0")
         mf, digest = _load(args.model)

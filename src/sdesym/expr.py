@@ -980,9 +980,8 @@ class PolyTestFunction:
 
 @dataclass
 class EvalPoint:
-    """Bindings for evaluation: symbol values and opaque function bodies."""
+    """Bindings for evaluation: symbol values."""
     symbols: Mapping[str, float]
-    functions: Mapping[str, Callable] = None
 
 
 class _Emitter:
@@ -1139,7 +1138,7 @@ def _evaluator(exprs: Sequence[Expr]):
 def evaluate(e: Expr, point: EvalPoint) -> float:
     """Value of e at one point, by the generated code on a one-point batch;
     EvaluationError on an unbound name or a non-finite value."""
-    v = float(_evaluator((e,))([point.symbols], point.functions)[0, 0])
+    v = float(_evaluator((e,))([point.symbols])[0, 0])
     if not math.isfinite(v):
         raise EvaluationError(
             f"value {v} is not finite at {dict(point.symbols)}")
@@ -1187,8 +1186,7 @@ _EQ_SEED = 905157  # fixed: equivalence checks are deterministic by default
 _MAX_RETRIES = 64
 
 
-def _sample_eval(exprs: Sequence[Expr], domain: Domain, rng, n_points,
-                 n_batches):
+def _sample_eval(exprs: Sequence[Expr], domain: Domain, n_points):
     """Yield (batch, values) for each round of draws.
 
     Points are drawn one at a time through `domain.sample` and evaluated
@@ -1196,16 +1194,18 @@ def _sample_eval(exprs: Sequence[Expr], domain: Domain, rng, n_points,
     draw order, the columns of the points where all of `exprs` are
     finite.  A round draws the batch's shortfall, or fewer when the
     retry limit is closer, so the points drawn, and the draw at which
-    DomainError is raised, are those of a point-by-point loop.  Opaque
-    function symbols get fresh random polynomials per batch.  Without
-    domain or rng, the default box and the fixed equivalence seed serve.
+    DomainError is raised, are those of a point-by-point loop.  Draws
+    come from the fixed equivalence seed, so every verdict is
+    deterministic.  Opaque function symbols get fresh random polynomials
+    per batch, DEFAULT_EQ_FUNC_BATCHES batches in all.  Without domain,
+    the default box serves.
     """
     domain = domain or Domain()
-    rng = rng if rng is not None else np.random.default_rng(_EQ_SEED)
+    rng = np.random.default_rng(_EQ_SEED)
     names = sorted(frozenset().union(*map(free_symbols, exprs)))
     onames = sorted(frozenset().union(*map(opaque_functions, exprs)))
     run = _evaluator(exprs)
-    batches = n_batches if onames else 1
+    batches = DEFAULT_EQ_FUNC_BATCHES if onames else 1
     per_batch = -(-n_points // batches)
     limit = _MAX_RETRIES * per_batch
     for b in range(batches):
@@ -1224,36 +1224,33 @@ def _sample_eval(exprs: Sequence[Expr], domain: Domain, rng, n_points,
                     "could not sample evaluable points; check the validity box")
 
 
-def equivalent(a: Expr, b: Expr, domain: Domain = None, *,
-               rng=None, n_points: int = DEFAULT_EQ_POINTS,
-               n_batches: int = DEFAULT_EQ_FUNC_BATCHES,
-               tol: float = DEFAULT_EQ_TOL) -> bool:
+def equivalent(a: Expr, b: Expr, domain: Domain = None) -> bool:
     """Randomized numerical equivalence test.
 
-    Samples points from the validity box (opaque function symbols get fresh
-    random polynomial instances per batch) and requires
-    |a - b| <= tol * (1 + |a| + |b|) everywhere.  Structural equality short
-    circuits to True.
+    Samples DEFAULT_EQ_POINTS points from the validity box (opaque function
+    symbols get fresh random polynomial instances per batch) and requires
+    |a - b| <= DEFAULT_EQ_TOL * (1 + |a| + |b|) everywhere.  Structural
+    equality short circuits to True.
     """
     a = as_expr(a)
     b = as_expr(b)
     if a == b:
         return True
-    for _, (va, vb) in _sample_eval((a, b), domain, rng, n_points, n_batches):
-        if not np.all(np.abs(va - vb) <= tol * (1.0 + np.abs(va) + np.abs(vb))):
+    for _, (va, vb) in _sample_eval((a, b), domain, DEFAULT_EQ_POINTS):
+        if not np.all(np.abs(va - vb)
+                      <= DEFAULT_EQ_TOL * (1.0 + np.abs(va) + np.abs(vb))):
             return False
     return True
 
 
-def max_abs_on_domain(e: Expr, domain: Domain = None, *, rng=None,
-                      n_points: int = 200,
-                      n_batches: int = DEFAULT_EQ_FUNC_BATCHES) -> float:
+def max_abs_on_domain(e: Expr, domain: Domain = None, *,
+                      n_points: int = 200) -> float:
     """Max |e| over sampled points; the numeric side of residual reports."""
     e = as_expr(e)
     if is_zero(e):
         return 0.0
     worst = 0.0
-    for _, (v,) in _sample_eval((e,), domain, rng, n_points, n_batches):
+    for _, (v,) in _sample_eval((e,), domain, n_points):
         worst = max(worst, float(np.abs(v).max()))
     return worst
 
@@ -1277,9 +1274,8 @@ def vanishes_on_domain(e: Expr, domain: Domain = None, *,
     n_max = -(-n_points // batches)
     seen = [0] * batches    # accepted points so far, per batch
     ok, worst = True, 0.0
-    for b, (v,) in _sample_eval((e,), domain, None,
-                                max(n_points, DEFAULT_EQ_POINTS),
-                                DEFAULT_EQ_FUNC_BATCHES):
+    for b, (v,) in _sample_eval((e,), domain,
+                                max(n_points, DEFAULT_EQ_POINTS)):
         a = np.abs(v)
         head = a[:max(0, n_eq - seen[b])]
         ok = ok and bool(np.all(head <= DEFAULT_EQ_TOL * (1.0 + head)))

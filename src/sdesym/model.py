@@ -141,37 +141,39 @@ def _as_parsed(e):
     return parse(e) if isinstance(e, str) else simplify(e)
 
 
-def _validate_system(sys: SdeSystem, err=ModelError):
+def _validate_system(sys: SdeSystem):
     if not sys.states:
-        raise err("at least one state variable is required")
+        raise ModelError("at least one state variable is required")
     if not sys.noises:
-        raise err("at least one noise variable is required")
+        raise ModelError("at least one noise variable is required")
     names = list(sys.states) + list(sys.noises) + [sys.time]
     if len(set(names)) != len(names):
-        raise err("state, noise and time symbols must be distinct")
+        raise ModelError("state, noise and time symbols must be distinct")
     for nm in sys.states + sys.noises:
         if nm in _RESERVED:
-            raise err(f"symbol name {nm!r} is reserved")
+            raise ModelError(f"symbol name {nm!r} is reserved")
     if sys.interpretation not in (ITO, STRATONOVICH):
-        raise err(f"unknown interpretation {sys.interpretation!r}")
+        raise ModelError(f"unknown interpretation {sys.interpretation!r}")
     if len(sys.drift) != sys.n:
-        raise err(f"expected {sys.n} drift entries, got {len(sys.drift)}")
+        raise ModelError(
+            f"expected {sys.n} drift entries, got {len(sys.drift)}")
     if len(sys.diffusion) != sys.n or any(len(r) != sys.m for r in sys.diffusion):
-        raise err(f"diffusion must be {sys.n} rows of {sys.m} entries")
+        raise ModelError(
+            f"diffusion must be {sys.n} rows of {sys.m} entries")
     allowed = set(sys.states) | {sys.time}
     for i, e in enumerate(sys.drift):
-        _check_symbols(e, allowed, f"drift.{i + 1}", err)
+        _check_symbols(e, allowed, f"drift.{i + 1}")
     for i, row in enumerate(sys.diffusion):
         for k, e in enumerate(row):
-            _check_symbols(e, allowed, f"diffusion.{i + 1}.{k + 1}", err)
+            _check_symbols(e, allowed, f"diffusion.{i + 1}.{k + 1}")
 
 
-def _check_symbols(e: Expr, allowed, where, err=ModelError, line=None):
+def _check_symbols(e: Expr, allowed, where):
     extra = free_symbols(e) - allowed
     if extra:
-        raise err(f"{where} uses undeclared symbol(s) {sorted(extra)}", line)
+        raise ModelError(f"{where} uses undeclared symbol(s) {sorted(extra)}")
     if opaque_functions(e):
-        raise err(f"{where} may not use opaque function symbols", line)
+        raise ModelError(f"{where} may not use opaque function symbols")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .expr import (
     is_zero, opaque_functions, add, mul, differentiate, to_str,
 )
 from .model import SdeSystem, VectorField
-from .calculus import as_ito, InterpretationError, TransformedSde
+from .calculus import as_ito, TransformedSde
 
 __all__ = [
     "EULER_MARUYAMA", "STRATONOVICH_HEUN",
@@ -43,7 +43,6 @@ class SimulationConfig:
     x0: tuple = (1.0,)
     paths: int = 100
     seed: int = 0
-    scheme: str = None   # derived from the interpretation when None
 
     def __post_init__(self):
         if not self.h > 0:
@@ -61,8 +60,6 @@ class SimulationConfig:
         if n < 1 or abs(n * self.h - span) > 1e-9 * max(1.0, abs(span)):
             raise ValueError(
                 f"(t1 - t0)/h = {span / self.h} is not an integer step count")
-        if self.scheme not in (None, EULER_MARUYAMA, STRATONOVICH_HEUN):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     @property
     def steps(self) -> int:
@@ -79,6 +76,7 @@ class PathSet:
     config: SimulationConfig
     state_names: tuple
     noise_names: tuple
+    scheme: str              # EULER_MARUYAMA or STRATONOVICH_HEUN
 
     @property
     def paths(self) -> int:
@@ -212,7 +210,7 @@ def _from_increments(sys: SdeSystem, cfg: SimulationConfig,
         kernel(states, increments, times, cfg.h)
     valid = np.isfinite(states).all(axis=(1, 2))
     return PathSet(times, states, increments, valid, cfg.seed, cfg,
-                   sys.states, sys.noises)
+                   sys.states, sys.noises, scheme)
 
 
 def simulate(sys: SdeSystem, cfg: SimulationConfig) -> PathSet:
@@ -230,13 +228,9 @@ def simulate(sys: SdeSystem, cfg: SimulationConfig) -> PathSet:
                              "symbols; instantiate them before simulating")
     if len(cfg.x0) != sys.n:
         raise ValueError(f"x0 has {len(cfg.x0)} entries for {sys.n} states")
-    derived = EULER_MARUYAMA if sys.is_ito() else STRATONOVICH_HEUN
-    if cfg.scheme is not None and cfg.scheme != derived:
-        raise InterpretationError(
-            f"scheme {cfg.scheme} does not integrate a "
-            f"{sys.interpretation} system; leave scheme unset to derive it")
+    scheme = EULER_MARUYAMA if sys.is_ito() else STRATONOVICH_HEUN
     increments = _draw_increments(cfg, sys.m)
-    return _from_increments(sys, cfg, increments, derived)
+    return _from_increments(sys, cfg, increments, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +356,18 @@ class ScalingResult:
     degenerate: bool
 
 
+_EPSILONS = (1e-2, 1e-3, 1e-4)
+
+
 def epsilon_symmetry_scaling(sys: SdeSystem, v: VectorField,
-                             cfg: SimulationConfig,
-                             epsilons=(1e-2, 1e-3, 1e-4)) -> ScalingResult:
+                             cfg: SimulationConfig) -> ScalingResult:
     """Slide each path along the candidate flow and measure the defect.
 
-    A path is mapped by x -> x + eps*xi and the one-step residual against
-    the equation's own coefficients is measured, after subtracting the
-    second-order noise term (1/2) eps H_kl (dw_k dw_l - delta_kl h) that
-    any map of this form produces at finite h.  What remains scales like
+    A path is mapped by x -> x + eps*xi for eps = 1e-2, 1e-3, 1e-4, and
+    the one-step residual against the equation's own coefficients is
+    measured, after subtracting the second-order noise term
+    (1/2) eps H_kl (dw_k dw_l - delta_kl h) that any map of this form
+    produces at finite h.  What remains scales like
     eps * (first determining residuals) + O(eps^2): slope about 2 on a
     log-log fit for a true symmetry whose xi actually bends with the
     state, about 1 for a violation.  Step size must be small enough that
@@ -434,7 +431,7 @@ def epsilon_symmetry_scaling(sys: SdeSystem, v: VectorField,
         diff_fns = [[compile_expr(e) for e in row] for row in sys.diffusion]
 
         defects = []
-        for eps in epsilons:
+        for eps in _EPSILONS:
             mapped = ps.states + eps * xi_grid
             menv = dict(left)
             for i, name in enumerate(sys.states):
@@ -460,21 +457,21 @@ def epsilon_symmetry_scaling(sys: SdeSystem, v: VectorField,
                            if usable.any() else math.inf)
 
     if all(d <= 1e-14 for d in defects):
-        return ScalingResult(tuple(epsilons), tuple(defects), None, True)
-    slope = float(np.polyfit(np.log(np.asarray(epsilons)),
+        return ScalingResult(_EPSILONS, tuple(defects), None, True)
+    slope = float(np.polyfit(np.log(np.asarray(_EPSILONS)),
                              np.log(np.asarray(defects)), 1)[0])
-    return ScalingResult(tuple(epsilons), tuple(defects), slope, False)
+    return ScalingResult(_EPSILONS, tuple(defects), slope, False)
 
 
 # ---------------------------------------------------------------------------
 # scalar helpers
 
-def finite_difference(e: Expr, s: str, point: dict, step: float = 1e-6,
-                      functions=None) -> float:
+def finite_difference(e: Expr, s: str, point: dict) -> float:
     """Central difference of e with respect to symbol s at a point."""
+    step = 1e-6
     hi = dict(point); hi[s] = point[s] + step
     lo = dict(point); lo[s] = point[s] - step
-    fhi, flo = _evaluator((e,))([hi, lo], functions)[0]
+    fhi, flo = _evaluator((e,))([hi, lo])[0]
     if not (math.isfinite(fhi) and math.isfinite(flo)):
         raise EvaluationError(f"{to_str(e)} is not finite near {point}")
     return float((fhi - flo) / (2.0 * step))

@@ -153,11 +153,11 @@ def _classification(tr: TransformedSde) -> str:
     return INTEGRABLE_ITO if tr.noise_free else INTEGRABLE_QUADRATURE
 
 
-def _nonvanishing(phi: Expr, names, domain: Domain, n_points: int = 120,
+def _nonvanishing(phi: Expr, names, domain: Domain,
                   what: str = "generator coefficient"):
     if opaque_functions(phi):   # no point evaluates: nothing to test
         return
-    pts = sample_points(sorted(names), domain, n_points=n_points)
+    pts = sample_points(sorted(names), domain, n_points=120)
     v = _evaluator((phi,))(pts)[0]
     usable = np.isfinite(v)     # points outside phi's domain are skipped
     small = usable & ~(np.abs(v) > 1e-12)
@@ -279,7 +279,6 @@ def reduce_random(sys: SdeSystem, v: VectorField,
     if sys.n != 1 or sys.m != 1:
         raise PreconditionError("random reduction is a scalar statement "
                                 "(one state, one noise)")
-    cls = classify(v)
     if opaque_functions(v.xi[0]):
         raise ReductionError(
             "candidate carries free function symbols; instantiate them "

@@ -29,7 +29,7 @@ from .expr import (
     vanishes_on_domain, _evaluator,
 )
 from .model import SdeSystem, VectorField, Classification, classify, ITO, STRATONOVICH
-from .calculus import ito_laplacian, drift_correction, InterpretationError, _require
+from .calculus import ito_laplacian, drift_correction, _require
 
 __all__ = [
     "SymmetryReport", "CompatibilityData", "SolvabilityResult",
@@ -264,7 +264,10 @@ class SolvabilityResult:
     series: tuple           # spanning fields per level
 
 
-def _independent_subset(fields, points, tol=1e-8):
+_RANK_TOL = 1e-8
+
+
+def _independent_subset(fields, points):
     """Greedy numeric choice of fields spanning the same sampled space."""
     keep = []
     rows = []
@@ -274,9 +277,9 @@ def _independent_subset(fields, points, tol=1e-8):
         row = _evaluator(f.xi)(points).T.ravel()
         if not np.all(np.isfinite(row)):
             raise ValueError("field evaluation produced non-finite values")
-        if np.linalg.norm(row) <= tol:
+        if np.linalg.norm(row) <= _RANK_TOL:
             continue
-        r = np.linalg.matrix_rank(np.vstack(rows + [row]), tol=tol)
+        r = np.linalg.matrix_rank(np.vstack(rows + [row]), tol=_RANK_TOL)
         if r > rank:
             keep.append(f)
             rows.append(row)
@@ -284,11 +287,10 @@ def _independent_subset(fields, points, tol=1e-8):
     return keep
 
 
-def solvable_check(generators, domain: Domain = None, n_points: int = 25,
-                   rng=None, tol: float = 1e-8) -> SolvabilityResult:
+def solvable_check(generators, domain: Domain = None) -> SolvabilityResult:
     """Derived-series test for solvability of the spanned algebra.
 
-    Each level's span is represented numerically by values at sampled
+    Each level's span is represented numerically by values at 25 sampled
     points; the series must reach zero within len(generators) steps.
     """
     gens = list(generators)
@@ -298,9 +300,9 @@ def solvable_check(generators, domain: Domain = None, n_points: int = 25,
     for g in gens:
         names |= set(g.states) | set(g.noises) | {"t"}
     domain = domain or Domain()
-    points = sample_points(sorted(names), domain, rng=rng, n_points=n_points)
+    points = sample_points(sorted(names), domain, n_points=25)
 
-    level = _independent_subset(gens, points, tol)
+    level = _independent_subset(gens, points)
     series = [tuple(level)]
     dims = [len(level)]
     for _ in range(len(gens) + 1):
@@ -310,7 +312,7 @@ def solvable_check(generators, domain: Domain = None, n_points: int = 25,
         for i in range(len(level)):
             for j in range(i + 1, len(level)):
                 brackets.append(commutator(level[i], level[j]))
-        level = _independent_subset(brackets, points, tol)
+        level = _independent_subset(brackets, points)
         series.append(tuple(level))
         dims.append(len(level))
         if dims[-1] >= dims[-2] and dims[-1] > 0:
@@ -318,12 +320,12 @@ def solvable_check(generators, domain: Domain = None, n_points: int = 25,
     return SolvabilityResult(len(level) == 0, tuple(dims), tuple(series))
 
 
-def orbit_rank(generators, point: dict, tol: float = 1e-8) -> int:
+def orbit_rank(generators, point: dict) -> int:
     """Rank of the matrix of generator components at one point."""
-    return orbit_ranks(generators, [point], tol)[0]
+    return orbit_ranks(generators, [point])[0]
 
 
-def orbit_ranks(generators, points, tol: float = 1e-8) -> list:
+def orbit_ranks(generators, points) -> list:
     """`orbit_rank` at each point, from one evaluation per generator."""
     if not generators:
         return [0] * len(points)
@@ -332,4 +334,4 @@ def orbit_ranks(generators, points, tol: float = 1e-8) -> list:
     if bad.any():
         raise EvaluationError("generator components are not finite at "
                               f"{points[int(np.argmax(bad))]}")
-    return [int(r) for r in np.linalg.matrix_rank(mats, tol=tol)]
+    return [int(r) for r in np.linalg.matrix_rank(mats, tol=_RANK_TOL)]

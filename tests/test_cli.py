@@ -302,6 +302,28 @@ def test_simulate_scheme_choice_is_validated_by_argparse(tmp_path):
               "--scheme", "Milstein"])
 
 
+def test_simulate_derives_heun_for_stratonovich_models(tmp_path):
+    strat = tmp_path / "strat.sde"
+    code, _ = run_cli(["convert", fixture_path("example1.sde"), "--to",
+                       STRATONOVICH, "--out", str(strat)], tmp_path)
+    assert code == 0
+    code, rep = run_cli(["simulate", str(strat), "--paths", "5", "--h",
+                         "0.01"], tmp_path, name="sim.json")
+    assert code == 0
+    assert rep["numeric"]["scheme"] == "StratonovichHeun"
+
+
+@pytest.mark.parametrize("command,flags", [("simulate", []),
+                                           ("verify", ["--candidate", "X1"])])
+def test_scheme_flag_is_gone(capsys, command, flags):
+    # the scheme follows from the interpretation; there is no flag for it
+    with pytest.raises(SystemExit) as exc:
+        main([command, fixture_path("example1.sde"), *flags,
+              "--scheme", "EulerMaruyama"])
+    assert exc.value.code == 2
+    assert "--scheme" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -338,6 +360,18 @@ def test_verify_random_candidate_uses_pinned_ansatz(tmp_path):
     # state-free candidate: scaling saturates at the slope-1 floor
     assert rep["numeric"]["epsilon_scaling"]["exponent"] < 1.3
     assert rep["numeric"]["epsilon_scaling"]["defects"][0] < 1e-7
+
+
+@pytest.mark.parametrize("model,beta", [("example1.sde", "b=0"),
+                                        ("example1.sde", "c=0"),
+                                        ("example3.sde", "b=t")])
+def test_verify_sets_unset_beta_part_to_zero(tmp_path, model, beta):
+    code, rep = run_cli(
+        ["verify", fixture_path(model), "--candidate", "X1", "--beta", beta,
+         "--paths", "2", "--h", "0.01", "--t1", "0.1"], tmp_path)
+    assert code in (0, 1)
+    given, value = beta.split("=")
+    assert rep["reduction"]["ansatz"] == {"b": "0", "c": "0", given: value}
 
 
 def test_verify_non_symmetry_stops_at_symbolic_gate(tmp_path):
@@ -602,4 +636,15 @@ def test_numeric_samples_below_one_is_input_error(tmp_path, capsys, command,
     assert code == 2
     assert rep is None
     assert ("error: --numeric-samples must be at least 1"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["check", "reduce", "verify"])
+def test_numeric_samples_above_cap_is_input_error(tmp_path, capsys, command):
+    code, rep = run_cli([command, fixture_path("control.sde"),
+                         "--candidate", "NOT_SYM",
+                         "--numeric-samples", "100001"], tmp_path)
+    assert code == 2
+    assert rep is None
+    assert ("error: --numeric-samples must be at most 100000"
             in capsys.readouterr().err)

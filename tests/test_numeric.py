@@ -19,8 +19,7 @@ import numpy as np
 import pytest
 
 from sdesym import (
-    EULER_MARUYAMA, STRATONOVICH_HEUN, ITO, STRATONOVICH,
-    InterpretationError, SimulationConfig, Sym, VectorField, ZERO,
+    ITO, STRATONOVICH, SimulationConfig, Sym, VectorField, ZERO,
     compile_expr, differentiate, epsilon_symmetry_scaling, evaluate,
     export_csv, finite_difference, make_system, opaque, parse,
     pathwise_check, reduce_deterministic, simulate, strong_order_estimate,
@@ -50,7 +49,7 @@ def _cfg(**kw):
     (dict(paths=0), "at least one path"),
     (dict(seed=-1), "seed must be"),
     (dict(h=0.3), "not an integer step count"),
-    (dict(scheme="RungeKutta"), "unknown scheme"),
+    (dict(h=2.0), "not an integer step count"),
     (dict(seed=2**64), "seed must be"),
     (dict(t1=math.inf), "must be finite"),
     (dict(t0=-math.inf), "must be finite"),
@@ -279,17 +278,6 @@ def test_heun_matches_stratonovich_exponential():
     sup = np.max(np.abs(ps.states[:, :, 0] - exact), axis=1)
     med = float(np.median(sup[ps.valid]))
     assert 1e-7 < med < 5e-3
-
-
-def test_scheme_must_match_interpretation(example1):
-    with pytest.raises(InterpretationError, match="does not integrate"):
-        simulate(example1.system, _cfg(scheme=STRATONOVICH_HEUN))
-    strat = make_system(["y"], ["w"], ["0"], [["y"]],
-                        interpretation=STRATONOVICH)
-    with pytest.raises(InterpretationError, match="does not integrate"):
-        simulate(strat, _cfg(scheme=EULER_MARUYAMA))
-    # explicitly matching scheme is accepted
-    simulate(strat, _cfg(paths=1, h=0.25, scheme=STRATONOVICH_HEUN))
 
 
 def test_simulate_rejects_free_function_coefficients(example1):
