@@ -21,7 +21,7 @@ from .model import (
 )
 from .calculus import (
     ito_laplacian, drift_correction, ito_to_stratonovich,
-    stratonovich_to_ito, as_ito, ito_differential, ito_change_of_variables,
+    stratonovich_to_ito, as_ito, differential, ito_change_of_variables,
     change_of_variables, infinitesimal_map_residuals, TransformedSde,
     InterpretationError,
 )

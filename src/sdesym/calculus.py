@@ -1,18 +1,23 @@
-"""Stochastic calculus on expressions: the second-order operator entering
-Ito's formula (here called the Ito Laplacian), drift corrections between the
-Ito and Stratonovich forms, and changes of variables.
+"""Stochastic calculus on expressions: the differential of a function along
+solutions, the second-order operator entering Ito's formula (here called
+the Ito Laplacian), drift corrections between the Ito and Stratonovich
+forms, and changes of variables.
 
-Conventions for an Ito system dx^i = f^i dt + sigma^i_k dw^k with states
-x^j and noises w^k, acting on a scalar u(x, t, w):
+Conventions for a system dx^i = f^i dt + sigma^i_k dw^k with states x^j
+and noises w^k, acting on a scalar u(x, t, w):
 
     Delta u = (sigma sigma^T)^{jk} u_{x^j x^k}
             + 2 sigma^j_k u_{x^j w^k}
             + sum_k u_{w^k w^k}
 
-(summation over repeated indices).  The Ito differential of u(x, t, w) along
+(summation over repeated indices).  The differential of u(x, t, w) along
 solutions is then
 
     du = (u_t + f^j u_{x^j} + 1/2 Delta u) dt + (sigma^j_k u_{x^j} + u_{w^k}) dw^k
+
+by Ito's formula for an Ito system, and the same without the Delta term
+(the ordinary chain rule) for a Stratonovich one.  `differential` is the
+one place this is written.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .model import SdeSystem, VectorField, ITO, STRATONOVICH
 
 __all__ = [
     "ito_laplacian", "drift_correction", "ito_to_stratonovich",
-    "stratonovich_to_ito", "ito_differential", "ito_change_of_variables",
+    "stratonovich_to_ito", "differential", "ito_change_of_variables",
     "change_of_variables", "infinitesimal_map_residuals", "TransformedSde",
     "InterpretationError", "pin_independent",
 ]
@@ -49,20 +54,24 @@ def _require(sys: SdeSystem, interpretation: str, what: str):
 def ito_laplacian(u: Expr, sys: SdeSystem) -> Expr:
     """The second-order operator of Ito's formula applied to u(x, t, w)."""
     _require(sys, ITO, "ito_laplacian")
+    return _laplacian(u, [differentiate(u, s) for s in sys.states], sys)
+
+
+def _laplacian(u: Expr, du, sys: SdeSystem) -> Expr:
+    """Delta u, given the first state derivatives du of u."""
     states, noises, sg = sys.states, sys.noises, sys.diffusion
     terms = []
-    du = {s: differentiate(u, s) for s in states}
-    for j, xj in enumerate(states):
+    for j in range(sys.n):
         for k, xk in enumerate(states):
             a = add(*[mul(sg[j][p], sg[k][p]) for p in range(sys.m)])
             if is_zero(a):
                 continue
-            terms.append(mul(a, differentiate(du[xj], xk)))
-    for j, xj in enumerate(states):
+            terms.append(mul(a, differentiate(du[j], xk)))
+    for j in range(sys.n):
         for k, wk in enumerate(noises):
             if is_zero(sg[j][k]):
                 continue
-            terms.append(mul(2, sg[j][k], differentiate(du[xj], wk)))
+            terms.append(mul(2, sg[j][k], differentiate(du[j], wk)))
     for wk in noises:
         terms.append(differentiate(differentiate(u, wk), wk))
     return add(*terms)
@@ -103,21 +112,19 @@ def as_ito(sys: SdeSystem) -> SdeSystem:
     return sys if sys.is_ito() else stratonovich_to_ito(sys)
 
 
-def ito_differential(u: Expr, sys: SdeSystem):
-    """(drift part, noise parts) of du along solutions of an Ito system."""
-    _require(sys, ITO, "ito_differential")
-    drift = add(
-        differentiate(u, sys.time),
-        *[mul(sys.drift[j], differentiate(u, xj))
-          for j, xj in enumerate(sys.states)],
-        mul(_HALF, ito_laplacian(u, sys)))
-    noise = []
-    for k, wk in enumerate(sys.noises):
-        noise.append(add(
-            *[mul(sys.diffusion[j][k], differentiate(u, xj))
-              for j, xj in enumerate(sys.states)],
-            differentiate(u, wk)))
-    return drift, tuple(noise)
+def differential(u: Expr, sys: SdeSystem):
+    """(drift part, noise parts) of du along solutions: Ito's formula for
+    an Ito system, the ordinary chain rule for a Stratonovich one."""
+    du = [differentiate(u, x) for x in sys.states]
+    drift = [differentiate(u, sys.time),
+             *[mul(f, d) for f, d in zip(sys.drift, du)]]
+    if sys.is_ito():
+        drift.append(mul(_HALF, _laplacian(u, du, sys)))
+    noise = tuple(
+        add(*[mul(row[k], d) for row, d in zip(sys.diffusion, du)],
+            differentiate(u, wk))
+        for k, wk in enumerate(sys.noises))
+    return add(*drift), noise
 
 
 @dataclass(frozen=True)
@@ -179,39 +186,29 @@ def _dependence(exprs, sys: SdeSystem):
 
 def ito_change_of_variables(sys: SdeSystem, phi: Expr) -> TransformedSde:
     """Scalar change of variables x = phi(y, t, w) by Ito's formula."""
-    _require(sys, ITO, "ito_change_of_variables")
-    if sys.n != 1:
-        raise ValueError("scalar change of variables needs a 1-state system")
-    drift, noise = ito_differential(phi, sys)
-    coeffs = pin_independent((drift,) + noise, sys)
-    state_free, noise_free = _dependence(coeffs, sys)
-    return TransformedSde((phi,), coeffs[:1], (coeffs[1:],), state_free,
-                          noise_free)
+    return change_of_variables(sys, (phi,))
 
 
 def change_of_variables(sys: SdeSystem, maps) -> TransformedSde:
-    """Multi-dimensional change of variables z^i = Z^i(x, t), w-free maps."""
+    """Change of variables z^i = Z^i(x, t, w) by Ito's formula.  A map may
+    depend on the noises only when the system has one state."""
     _require(sys, ITO, "change_of_variables")
     maps = tuple(maps)
     if len(maps) != sys.n:
         raise ValueError(f"need {sys.n} component maps, got {len(maps)}")
+    if sys.n > 1 and any(contains(Z, wk) for Z in maps for wk in sys.noises):
+        raise ValueError(
+            "component maps of a system change of variables must be "
+            "noise-free; only a one-state system takes w-dependent maps")
+    coeffs = []
     for Z in maps:
-        for wk in sys.noises:
-            if contains(Z, wk):
-                raise ValueError(
-                    "component maps of a system change of variables must be "
-                    "noise-free; use the scalar form for w-dependent maps")
-    drift = []
-    noise = []
-    for Z in maps:
-        d, s = ito_differential(Z, sys)
-        coeffs = pin_independent((d,) + s, sys)
-        drift.append(coeffs[0])
-        noise.append(coeffs[1:])
+        d, s = differential(Z, sys)
+        coeffs.append(pin_independent((d,) + s, sys))
+    drift = tuple(c[0] for c in coeffs)
+    noise = tuple(c[1:] for c in coeffs)
     state_free, noise_free = _dependence(
-        tuple(drift) + tuple(x for row in noise for x in row), sys)
-    return TransformedSde(maps, tuple(drift), tuple(noise),
-                          state_free, noise_free)
+        drift + tuple(x for row in noise for x in row), sys)
+    return TransformedSde(maps, drift, noise, state_free, noise_free)
 
 
 def infinitesimal_map_residuals(sys: SdeSystem, v: VectorField):
@@ -232,7 +229,7 @@ def infinitesimal_map_residuals(sys: SdeSystem, v: VectorField):
     noise_res = []
     for i, xi_i in enumerate(v.xi):
         Z = add(Sym(sys.states[i]), mul(eps, xi_i))
-        new_drift, new_noise = ito_differential(Z, sys)
+        new_drift, new_noise = differential(Z, sys)
         target_drift = substitute(sys.drift[i], shifted)
         dres = _eps_linear(add(new_drift, mul(-1, target_drift)), eps)
         drift_res.append(dres)

@@ -156,7 +156,7 @@ def _check_one(sysm, v, n_points, tol):
     cls = classify(v)
     entry = {"classification": cls.label}
     if not cls.simple:
-        res = tau_condition(sysm, v.tau)
+        res = tau_condition(as_ito(sysm), v.tau)
         checks = [vanishes_on_domain(r, sysm.domain, n_points=n_points)
                   for r in res]
         ok = all(c for c, _ in checks)

@@ -5,9 +5,10 @@ shape: sums and products are flattened, numeric parts folded (exactly, as
 rationals, whenever the inputs are rational and an exact power stays below
 a fixed size), like terms combined, products distributed over sums, and
 siblings ordered by a fixed total order on nodes.  A power of a sum stays a
-power.  Equal trees are therefore equal functions, but unequal trees may
-still be equal functions: (1+y)^2 and 1 + 2*y + y^2 are two trees, and so
-are a sum of fractions and its value over a common denominator.
+power, and a sum multiplied by a power of itself joins that power.  Equal
+trees are therefore equal functions, but unequal trees may still be equal
+functions: (1+y)^2 and 1 + 2*y + y^2 are two trees, and so are a sum of
+fractions and its value over a common denominator.
 `expand_powers` multiplies out powers of sums once, where a caller wants
 the like terms of a finished expression to meet.
 
@@ -332,6 +333,16 @@ def mul(*factors) -> Expr:
             powers[base] = add(powers[base], e)
         else:
             powers[base] = e
+
+    if addends and powers:
+        # a sum meeting a power of itself joins that power
+        kept = []
+        for a in addends:
+            if a in powers:
+                powers[a] = add(powers[a], ONE)
+            else:
+                kept.append(a)
+        addends = kept
 
     plain = []
     for base, e in powers.items():
@@ -1148,28 +1159,37 @@ def evaluate(e: Expr, point: EvalPoint) -> float:
 # ---------------------------------------------------------------------------
 # validity boxes and randomized equivalence
 
+_ROLE_RANGES = {"state": (0.5, 2.0), "noise": (-1.0, 1.0), "time": (0.0, 1.0)}
+
+
 class Domain:
     """Axis-aligned validity box: a range per symbol, with sane defaults.
 
-    Defaults when a symbol has no explicit range: `t` in [0, 1], names
-    starting with `w` in [-1, 1], everything else in [0.5, 2] (positive, so
-    logs and quotients of state variables stay evaluable).
+    A symbol without an explicit range gets the range of its declared
+    role (`roles` maps names to "state", "noise" or "time"): states in
+    [0.5, 2] (positive, so logs and quotients of state variables stay
+    evaluable), noises in [-1, 1], time in [0, 1].  A symbol without a
+    role is time when named `t`, a noise when its name starts with `w`,
+    and a state otherwise.
     """
 
-    def __init__(self, bounds: Mapping[str, tuple] = None):
+    def __init__(self, bounds: Mapping[str, tuple] = None,
+                 roles: Mapping[str, str] = None):
         self.bounds = dict(bounds or {})
+        self.roles = dict(roles or {})
         for name, (lo, hi) in self.bounds.items():
             if not (lo < hi):
                 raise DomainError(f"empty range for {name!r}: [{lo}, {hi}]")
+        # one lookup per draw: explicit ranges over the role defaults
+        self._ranges = {**{n: _ROLE_RANGES[r] for n, r in self.roles.items()},
+                        **self.bounds}
 
     def range_for(self, name: str) -> tuple:
-        if name in self.bounds:
-            return self.bounds[name]
-        if name == "t":
-            return (0.0, 1.0)
-        if name.startswith("w"):
-            return (-1.0, 1.0)
-        return (0.5, 2.0)
+        r = self._ranges.get(name)
+        if r is not None:
+            return r
+        return _ROLE_RANGES["time" if name == "t" else
+                            "noise" if name.startswith("w") else "state"]
 
     def sample(self, names: Iterable[str], rng) -> dict:
         return {n: rng.uniform(*self.range_for(n)) for n in names}

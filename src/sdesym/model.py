@@ -132,9 +132,18 @@ def make_system(states, noises, drift, diffusion, interpretation=ITO,
     drift = tuple(_as_parsed(e) for e in drift)
     diffusion = tuple(tuple(_as_parsed(e) for e in row) for row in diffusion)
     sys = SdeSystem(states, noises, drift, diffusion, interpretation,
-                    domain or Domain(), time)
+                    _role_domain(domain.bounds if domain else None, states,
+                                 noises, time), time)
     _validate_system(sys)
     return sys
+
+
+def _role_domain(bounds, states, noises, time="t") -> Domain:
+    """The validity box with the declared role of each symbol, so that a
+    symbol without an explicit range gets its role's default range."""
+    roles = {time: "time", **dict.fromkeys(states, "state"),
+             **dict.fromkeys(noises, "noise")}
+    return Domain(bounds, roles)
 
 
 def _as_parsed(e):
@@ -300,7 +309,7 @@ def _build_system(items) -> SdeSystem:
 
     sys = SdeSystem(states, noises, tuple(drift),
                     tuple(tuple(r) for r in diffusion),
-                    interp, Domain(bounds))
+                    interp, _role_domain(bounds, states, noises))
     _validate_system(sys)
     return sys
 

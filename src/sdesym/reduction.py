@@ -27,7 +27,7 @@ from .expr import (
 )
 from .model import SdeSystem, VectorField, classify
 from .calculus import (
-    as_ito, ito_laplacian, ito_change_of_variables, change_of_variables,
+    as_ito, differential, ito_change_of_variables, change_of_variables,
     pin_independent, TransformedSde,
 )
 from .symmetry import (
@@ -48,8 +48,6 @@ __all__ = [
 INTEGRABLE_ITO = "IntegrableIto"
 INTEGRABLE_QUADRATURE = "IntegrableQuadrature"
 NOT_INTEGRABLE_FORM = "NotIntegrableForm"
-
-_HALF = Num(Fraction(1, 2))
 
 
 class ReductionError(Exception):
@@ -129,7 +127,6 @@ class ReductionResult:
     conditions: tuple = ()
     ansatz: FreeFunctionAnsatz = None
     converted_from_stratonovich: bool = False
-    pushforward_ok: bool = True
 
     @property
     def condition_failures(self) -> tuple:
@@ -254,11 +251,8 @@ def reduce_deterministic(sys: SdeSystem, v: VectorField, *,
     st = straighten(v.xi[0], sys.states[0], domain=sys.domain,
                     time=sys.time, noises=sys.noises)
     tr = ito_change_of_variables(sys, st.map)
-    push = mul(differentiate(st.map, sys.states[0]), v.xi[0])
-    push_ok = equivalent(push, ONE, sys.domain)
     return ReductionResult(st, tr, _classification(tr), report,
-                           converted_from_stratonovich=was_strat,
-                           pushforward_ok=push_ok)
+                           converted_from_stratonovich=was_strat)
 
 
 def reduce_random(sys: SdeSystem, v: VectorField,
@@ -286,7 +280,6 @@ def reduce_random(sys: SdeSystem, v: VectorField,
     report = _verified_report(sys, v, verify, n_points)
 
     y, w, t = sys.states[0], sys.noises[0], sys.time
-    F, S = sys.drift[0], sys.diffusion[0][0]
     ansatz = ansatz or FreeFunctionAnsatz()
     b, c = ansatz.resolved(t)
     _check_ansatz(b, c, sys)
@@ -296,11 +289,9 @@ def reduce_random(sys: SdeSystem, v: VectorField,
     st = StraighteningMap(st.phi, full_map, st.state, st.new_symbol,
                           _solve_inverse(full_map, y, st.new_symbol, sys.domain))
 
-    d = differentiate
-    e1 = add(d(d(full_map, w), w), mul(S, d(d(full_map, y), w)))
-    e2 = add(d(d(full_map, t), w),
-             mul(F, d(d(full_map, y), w)),
-             mul(_HALF, d(ito_laplacian(full_map, sys), w)))
+    drift, noise = differential(full_map, sys)
+    e1 = differentiate(noise[0], w)
+    e2 = differentiate(drift, w)
     conditions = (
         ConditionCheck("noise-coefficient-w-free", e1,
                        equivalent(e1, ZERO, sys.domain)),
@@ -479,7 +470,8 @@ def reduce_system_solvable(sys: SdeSystem, generators, adapted_coords=None,
                                   kept_names)
 
     new_sys = SdeSystem(sys.states, sys.noises, new_drift, new_noise,
-                        sys.interpretation, Domain(), sys.time)
+                        sys.interpretation, Domain(roles=sys.domain.roles),
+                        sys.time)
     return SystemReduction(tuple(maps), tuple(inverses), new_sys,
                            kept_names, recon_names, order, reports, sol,
                            ranks[0])

@@ -4,12 +4,13 @@ For a simple candidate X = xi^i(x, t, w) d/dx^i acting on a system with
 drift f and diffusion sigma, the residuals below vanish identically exactly
 when X generates a Lie point symmetry:
 
-Ito form:
-    R1^i   = xi^i_t + f^j xi^i_{x^j} - xi^j f^i_{x^j} + 1/2 Delta xi^i
-    R2^i_k = xi^i_{w^k} + sigma^j_k xi^i_{x^j} - xi^j (sigma^i_k)_{x^j}
+    R1^i   = (dt part of d xi^i) - xi^j f^i_{x^j}
+    R2^i_k = (dw^k part of d xi^i) - xi^j (sigma^i_k)_{x^j}
 
-Stratonovich form: the same R2, and R1 without the Delta term (drift b):
-    R1^i   = xi^i_t + b^j xi^i_{x^j} - xi^j b^i_{x^j}
+with d the differential along solutions (`calculus.differential`): the dt
+part is xi^i_t + f^j xi^i_{x^j} + 1/2 Delta xi^i in the Ito form and loses
+the Delta term in the Stratonovich form; the dw^k part is
+xi^i_{w^k} + sigma^j_k xi^i_{x^j} in both.
 
 Every residual gets both a zero-verdict (randomized equivalence) and a
 sampled max-magnitude, read off one sampling pass, so reports carry
@@ -29,7 +30,7 @@ from .expr import (
     vanishes_on_domain, _evaluator,
 )
 from .model import SdeSystem, VectorField, Classification, classify, ITO, STRATONOVICH
-from .calculus import ito_laplacian, drift_correction, _require
+from .calculus import differential, ito_to_stratonovich, _require
 
 __all__ = [
     "SymmetryReport", "CompatibilityData", "SolvabilityResult",
@@ -38,8 +39,6 @@ __all__ = [
     "tau_condition", "commutator", "solvable_check", "orbit_rank",
     "orbit_ranks",
 ]
-
-_HALF = Num(Fraction(1, 2))
 
 
 class NonSimpleCandidate(ValueError):
@@ -71,14 +70,31 @@ def _check_simple(v: VectorField):
     return c
 
 
-def _report(route, cls, drift_res, noise_res, domain, n_points) -> SymmetryReport:
-    # multiplied out once, a residual of a true symmetry mostly collapses
-    # to the literal zero, which needs no sampling and prints as 0
-    drift_res = tuple(map(expand_powers, drift_res))
-    noise_res = tuple(tuple(map(expand_powers, row)) for row in noise_res)
+def _residuals(sys: SdeSystem, v: VectorField):
+    """(R1, R2): the differential of each xi^i along solutions, less xi's
+    action xi^j d/dx^j on the drift and on each noise coefficient."""
+    def residual(part, coeff):
+        # multiplied out once, a residual of a true symmetry mostly
+        # collapses to the literal zero, which needs no sampling and
+        # prints as 0
+        return expand_powers(add(part, *[
+            mul(-1, v.xi[j], differentiate(coeff, xj))
+            for j, xj in enumerate(sys.states)]))
+    drift, noise = [], []
+    for i, xi in enumerate(v.xi):
+        d, s = differential(xi, sys)
+        drift.append(residual(d, sys.drift[i]))
+        noise.append(tuple(residual(s[k], sys.diffusion[i][k])
+                           for k in range(sys.m)))
+    return tuple(drift), tuple(noise)
+
+
+def _report(route, sys, v, domain, n_points) -> SymmetryReport:
+    cls = _check_simple(v)
+    drift_res, noise_res = _residuals(sys, v)
 
     def check(r):
-        return vanishes_on_domain(r, domain, n_points=n_points)
+        return vanishes_on_domain(r, domain or sys.domain, n_points=n_points)
     drift = [check(r) for r in drift_res]
     noise = [[check(r) for r in row] for row in noise_res]
     every = drift + [c for row in noise for c in row]
@@ -88,57 +104,18 @@ def _report(route, cls, drift_res, noise_res, domain, n_points) -> SymmetryRepor
                           max((w for _, w in every), default=0.0), n_points)
 
 
-def _diffusion_residuals(sys: SdeSystem, v: VectorField):
-    states, noises, sg = sys.states, sys.noises, sys.diffusion
-    rows = []
-    for i in range(sys.n):
-        row = []
-        for k, wk in enumerate(noises):
-            r = add(
-                differentiate(v.xi[i], wk),
-                *[mul(sg[j][k], differentiate(v.xi[i], xj))
-                  for j, xj in enumerate(states)],
-                *[mul(-1, v.xi[j], differentiate(sg[i][k], xj))
-                  for j, xj in enumerate(states)])
-            row.append(r)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _drift_residuals(sys: SdeSystem, v: VectorField, drift, laplacian: bool):
-    states = sys.states
-    out = []
-    for i in range(sys.n):
-        terms = [differentiate(v.xi[i], sys.time)]
-        for j, xj in enumerate(states):
-            terms.append(mul(drift[j], differentiate(v.xi[i], xj)))
-            terms.append(mul(-1, v.xi[j], differentiate(drift[i], xj)))
-        if laplacian:
-            terms.append(mul(_HALF, ito_laplacian(v.xi[i], sys)))
-        out.append(add(*terms))
-    return tuple(out)
-
-
 def residual_ito(sys: SdeSystem, v: VectorField, domain: Domain = None,
                  n_points: int = 200) -> SymmetryReport:
     """Determining-equation residuals for a simple candidate, Ito form."""
     _require(sys, ITO, "residual_ito")
-    cls = _check_simple(v)
-    domain = domain or sys.domain
-    drift_res = _drift_residuals(sys, v, sys.drift, laplacian=True)
-    noise_res = _diffusion_residuals(sys, v)
-    return _report("ito", cls, drift_res, noise_res, domain, n_points)
+    return _report("ito", sys, v, domain, n_points)
 
 
 def residual_stratonovich(sys: SdeSystem, v: VectorField, domain: Domain = None,
                           n_points: int = 200) -> SymmetryReport:
     """Determining-equation residuals, Stratonovich form (no Laplacian)."""
     _require(sys, STRATONOVICH, "residual_stratonovich")
-    cls = _check_simple(v)
-    domain = domain or sys.domain
-    drift_res = _drift_residuals(sys, v, sys.drift, laplacian=False)
-    noise_res = _diffusion_residuals(sys, v)
-    return _report("stratonovich", cls, drift_res, noise_res, domain, n_points)
+    return _report("stratonovich", sys, v, domain, n_points)
 
 
 def residual_associated_stratonovich(sys: SdeSystem, v: VectorField,
@@ -146,18 +123,12 @@ def residual_associated_stratonovich(sys: SdeSystem, v: VectorField,
                                      n_points: int = 200) -> SymmetryReport:
     """Residuals of the Stratonovich equation associated to an Ito system.
 
-    Subtracting the drift correction rho from the Ito drift and using the
-    first-order (no Laplacian) drift equation must produce the same verdict
-    as `residual_ito`; the two routes cross-validate each other.
+    The Stratonovich form of the system (drift less the correction rho)
+    with the first-order drift equation must produce the same verdict as
+    `residual_ito`; the two routes cross-validate each other.
     """
     _require(sys, ITO, "residual_associated_stratonovich")
-    cls = _check_simple(v)
-    domain = domain or sys.domain
-    rho = drift_correction(sys)
-    b = tuple(add(f, mul(-1, r)) for f, r in zip(sys.drift, rho))
-    drift_res = _drift_residuals(sys, v, b, laplacian=False)
-    noise_res = _diffusion_residuals(sys, v)
-    return _report("associated-stratonovich", cls, drift_res, noise_res,
+    return _report("associated-stratonovich", ito_to_stratonovich(sys), v,
                    domain, n_points)
 
 
@@ -207,34 +178,21 @@ def compatibility_check(sys: SdeSystem, phi: Expr, domain: Domain = None,
 def tau_condition(sys: SdeSystem, tau: Expr) -> tuple:
     """Residuals that must vanish for a time change tau to be admissible.
 
-    With A(tau) = tau_t + f^j tau_{x^j} + 1/2 (sigma sigma^T)^{jk} tau_{x^j x^k},
-    the i-th residual is sum_{k,p} sigma^k_p sigma^i_p d(A tau)/dx^k.  For
-    tau depending on t alone the residuals vanish identically; the operator
-    accepts arbitrary tau expressions so the condition itself is testable.
+    With A(tau) the drift part of the Ito differential of tau (for tau
+    free of the noises, tau_t + f^j tau_{x^j} + 1/2 (sigma sigma^T)^{jk}
+    tau_{x^j x^k}), the i-th residual is
+    sum_{k,p} sigma^k_p sigma^i_p d(A tau)/dx^k.  For tau depending on t
+    alone the residuals vanish identically; the operator accepts arbitrary
+    tau expressions so the condition itself is testable.
     """
     _require(sys, ITO, "tau_condition")
-    states, sg = sys.states, sys.diffusion
-    a_terms = [differentiate(tau, sys.time)]
-    for j, xj in enumerate(states):
-        a_terms.append(mul(sys.drift[j], differentiate(tau, xj)))
-    for j, xj in enumerate(states):
-        for k, xk in enumerate(states):
-            cov = add(*[mul(sg[j][p], sg[k][p]) for p in range(sys.m)])
-            if is_zero(cov):
-                continue
-            a_terms.append(mul(_HALF, cov,
-                               differentiate(differentiate(tau, xj), xk)))
-    a_tau = add(*a_terms)
-
-    out = []
-    for i in range(sys.n):
-        parts = []
-        for k, xk in enumerate(states):
-            for p in range(sys.m):
-                parts.append(mul(sg[k][p], sg[i][p],
-                                 differentiate(a_tau, xk)))
-        out.append(add(*parts) if parts else ZERO)
-    return tuple(out)
+    sg = sys.diffusion
+    a_tau = differential(tau, sys)[0]
+    da = [differentiate(a_tau, xk) for xk in sys.states]
+    return tuple(
+        add(*[mul(sg[k][p], sg[i][p], da[k])
+              for k in range(sys.n) for p in range(sys.m)])
+        for i in range(sys.n))
 
 
 # ---------------------------------------------------------------------------

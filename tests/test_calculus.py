@@ -14,9 +14,9 @@ import pytest
 
 from sdesym import (
     Domain, InterpretationError, VectorField, ZERO,
-    as_ito, change_of_variables, drift_correction, equivalent,
+    as_ito, change_of_variables, differential, drift_correction, equivalent,
     infinitesimal_map_residuals, is_zero, ito_change_of_variables,
-    ito_differential, ito_laplacian, ito_to_stratonovich, make_system, parse,
+    ito_laplacian, ito_to_stratonovich, make_system, parse,
     residual_ito, stratonovich_to_ito,
 )
 
@@ -107,7 +107,7 @@ def test_conversion_rejects_wrong_interpretation():
 
 def test_ito_differential_of_identity():
     mf = model("example1.sde")
-    d, s = ito_differential(parse("y"), mf.system)
+    d, s = differential(parse("y"), mf.system)
     assert equivalent(d, mf.system.drift[0])
     assert equivalent(s[0], mf.system.diffusion[0][0])
 

@@ -447,6 +447,71 @@ def test_verify_map_model(tmp_path, text):
     assert rep["reduction"]["classification"] == "IntegrableIto"
 
 
+# the exp map pulled back from dx = dt + 2 dw: the noise coefficient
+# 2/(1 + exp(y)) times the map's derivative 1 + exp(y) prints as the constant
+def test_reduce_exp_map_model_prints_constant_noise(tmp_path):
+    path = tmp_path / "map.sde"
+    path.write_text(_EXP_MAP_MODEL.replace("(1 + t)", "2"))
+    code, rep = run_cli(["reduce", str(path), "--candidate", "XI"], tmp_path)
+    assert code == 0
+    assert rep["reduction"]["classification"] == "IntegrableIto"
+    assert rep["reduction"]["noise"] == ["2"]
+
+
+# default boxes follow the declared roles, not the names: a state named
+# `wealth` is positive and a noise named `b` is centred on 0, as `y` and
+# `w` would be
+_ROLE_MODELS = {
+    "state-wealth": """
+[system]
+interpretation = ito
+states = wealth
+noises = w
+drift.1 = wealth/2
+diffusion.1.1 = wealth
+
+[candidate X]
+xi.1 = wealth
+""",
+    # I = log(y) - t/2 - b is a first integral of dy = y dt + y db and
+    # stays positive on the box only while b stays below 1
+    "noise-b": """
+[system]
+interpretation = ito
+states = y
+noises = b
+drift.1 = y
+diffusion.1.1 = y
+domain.y = 5, 5.4
+
+[candidate X]
+xi.1 = y*(log(y) - t/2 - b)
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROLE_MODELS))
+def test_reduce_renamed_symbols_keep_their_role_box(tmp_path, name):
+    path = tmp_path / "roles.sde"
+    path.write_text(_ROLE_MODELS[name])
+    code, rep = run_cli(["reduce", str(path), "--candidate", "X"], tmp_path)
+    assert code == 0, rep.get("error")
+    assert rep["reduction"]["classification"] == "IntegrableIto"
+
+
+def test_check_time_component_on_stratonovich_model(tmp_path):
+    path = tmp_path / "strat.sde"
+    out = tmp_path / "example1_strat.sde"
+    code, _ = run_cli(["convert", fixture_path("example1.sde"), "--to",
+                       STRATONOVICH, "--out", str(out)], tmp_path)
+    assert code == 0
+    path.write_text(out.read_text() + "\n[candidate TT]\nxi.1 = exp(-y)\n"
+                    "tau = t\n")
+    code, rep = run_cli(["check", str(path), "--candidate", "TT"], tmp_path)
+    assert code == 0
+    assert rep["candidates"]["TT"]["tau_condition"]["satisfied"] is True
+
+
 # dy = y dt + y dw has the first integral I = log(y) - t/2 - w, and
 # X = y*I^2 d/dy is a random symmetry; multiplying out the powers of I
 # inside the algebra makes every expression of check and reduce, and

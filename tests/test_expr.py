@@ -91,6 +91,19 @@ def test_simplify_identities():
     assert simplify(parse("y/y")) == ONE
 
 
+# a sum meeting a power of itself joins that power; products of bare sums
+# still multiply out
+@pytest.mark.parametrize("text,printed", [
+    ("(1 + 3*y^2)^(-1)*(1 + 3*y^2)", "1"),
+    ("1/6/(1 + 3*y^2)*(1 + 3*y^2)", "1/6"),
+    ("(1 + y)^2*(1 + y)", "(1 + y)^3"),
+    ("t*(1 + y)^2*(1 + y)*(1 + y)", "t*(1 + y)^4"),
+    ("(1 + y)*(1 + y)", "1 + y^2 + 2*y"),
+])
+def test_sum_joins_its_power(text, printed):
+    assert to_str(parse(text)) == printed
+
+
 def test_constant_folding_is_exact():
     # rational arithmetic, not float: 1/3 + 1/6 must be exactly 1/2
     e = simplify(parse("1/3 + 1/6"))
@@ -338,3 +351,12 @@ def test_domain_defaults():
     assert d.range_for("y") == (0.5, 2.0)
     with pytest.raises(Exception):
         Domain({"y": (2.0, 1.0)})
+
+
+def test_domain_defaults_follow_declared_roles():
+    d = Domain({"s": (3.0, 4.0)},
+               roles={"wealth": "state", "b": "noise", "s": "time"})
+    assert d.range_for("wealth") == (0.5, 2.0)
+    assert d.range_for("b") == (-1.0, 1.0)
+    assert d.range_for("s") == (3.0, 4.0)      # an explicit range wins
+    assert d.range_for("w") == (-1.0, 1.0)     # no role: the name decides

@@ -29,6 +29,20 @@ def test_load_minimal():
     assert mf.candidates == {} and mf.maps == {} and mf.simulation == {}
 
 
+def test_default_boxes_follow_declared_roles():
+    text = MINIMAL.replace("states = y", "states = wealth").replace(
+        "noises = w", "noises = b").replace("drift.1 = y", "drift.1 = wealth")
+    sys = load_model(text).system
+    assert sys.domain.range_for("wealth") == (0.5, 2.0)
+    assert sys.domain.range_for("b") == (-1.0, 1.0)
+    assert sys.domain.range_for("t") == (0.0, 1.0)
+    # only explicit bounds are written back
+    assert "domain." not in print_model(load_model(text))
+    made = make_system(("wealth",), ("b",), ("wealth",), (("wealth",),))
+    assert made.domain.range_for("wealth") == (0.5, 2.0)
+    assert made.domain.range_for("b") == (-1.0, 1.0)
+
+
 def test_all_fixtures_load_and_print_round_trip():
     for name in FIXTURE_NAMES:
         mf = model(name)

@@ -86,7 +86,6 @@ def test_reduce_deterministic_example1(example1):
     assert equivalent(r.noise[0], parse("1"))
     assert r.classification == INTEGRABLE_ITO
     assert r.report.verified
-    assert r.pushforward_ok
     assert r.condition_failures == ()
 
 
